@@ -4,8 +4,7 @@
 // against the retained naive references (src/nn/gemm_ref.hpp) across the
 // layer shapes the GesIDNet forward/backward actually runs, plus one int8
 // fused-layer row (FusedLinear kInt8 vs the f32 fused kernel). Every f32
-// row re-runs the differential check inline — matmul/matmul_at bitwise,
-// matmul_bt band-checked (see gemm_ref.hpp for why) — so a speedup number
+// row re-runs the bitwise differential check inline, so a speedup number
 // can never be reported for a kernel that drifted.
 //
 // Emits <output_dir>/BENCH_gemm.json (schema pinned by the
@@ -19,7 +18,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -65,21 +63,6 @@ bool bitwise_equal(const nn::Tensor& a, const nn::Tensor& b) {
          std::memcmp(a.vec().data(), b.vec().data(), a.vec().size() * sizeof(float)) == 0;
 }
 
-/// Band check for matmul_bt: per element within a few ulps of the reference
-/// (the contraction-mix tolerance documented in gemm_ref.hpp).
-bool band_equal(const nn::Tensor& a, const nn::Tensor& b, std::size_t k_terms) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const double tol_scale = 8.0 * static_cast<double>(k_terms) *
-                           static_cast<double>(std::numeric_limits<float>::epsilon());
-  for (std::size_t i = 0; i < a.vec().size(); ++i) {
-    const double x = a.vec()[i];
-    const double y = b.vec()[i];
-    const double mag = std::max({std::fabs(x), std::fabs(y), 1.0});
-    if (std::fabs(x - y) > tol_scale * mag) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -112,23 +95,20 @@ int main() {
       const char* name;
       std::function<void(nn::Tensor&)> ref;
       std::function<void(nn::Tensor&)> opt;
-      bool bitwise;
     };
     const std::vector<Variant> variants{
         {"matmul", [&](nn::Tensor& o) { nn::matmul_ref(a, b, o); },
-         [&](nn::Tensor& o) { nn::matmul(a, b, o, ctx); }, true},
+         [&](nn::Tensor& o) { nn::matmul(a, b, o, ctx); }},
         {"matmul_bt", [&](nn::Tensor& o) { nn::matmul_bt_ref(a, bt, o); },
-         [&](nn::Tensor& o) { nn::matmul_bt(a, bt, o, ctx); }, false},
+         [&](nn::Tensor& o) { nn::matmul_bt(a, bt, o, ctx); }},
         {"matmul_at", [&](nn::Tensor& o) { nn::matmul_at_ref(at, b, o); },
-         [&](nn::Tensor& o) { nn::matmul_at(at, b, o, ctx); }, true},
+         [&](nn::Tensor& o) { nn::matmul_at(at, b, o, ctx); }},
     };
     for (const Variant& v : variants) {
       nn::Tensor ref_out, opt_out;
       v.ref(ref_out);
       v.opt(opt_out);
-      const bool ok = v.bitwise ? bitwise_equal(ref_out, opt_out)
-                                : band_equal(ref_out, opt_out, s.k);
-      if (!ok) {
+      if (!bitwise_equal(ref_out, opt_out)) {
         std::cout << "FAIL: " << v.name << " m=" << s.m << " k=" << s.k << " n=" << s.n
                   << " diverged from the naive reference\n";
         checks_ok = false;
@@ -142,7 +122,7 @@ int main() {
       row.opt_ms = time_ms([&] { v.opt(opt_out); }, reps);
       row.speedup = row.opt_ms > 0.0 ? row.ref_ms / row.opt_ms : 0.0;
       row.gflops = row.opt_ms > 0.0 ? flops / (row.opt_ms * 1.0e6) : 0.0;
-      row.check = v.bitwise ? "bitwise" : "band";
+      row.check = "bitwise";
       rows.push_back(row);
       std::cout << "  " << row.kernel << " " << s.m << "x" << s.k << "x" << s.n << ": ref "
                 << row.ref_ms << " ms, opt " << row.opt_ms << " ms (" << row.speedup

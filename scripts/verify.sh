@@ -19,6 +19,17 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 MODE="${1:-tier1}"
 
+# One line naming the host, so every verify log says where it ran: core
+# count, the SIMD/FMA ISA flags the -march=native kernels build against,
+# and the GP_THREADS the tests inherit.
+print_host() {
+  local isa
+  isa="$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | tr ' ' '\n' |
+    grep -xE 'sse4_2|avx|avx2|fma|avx512f|avx512bw|avx512vl|avx512_vnni|avx_vnni|neon|asimd' |
+    tr '\n' ' ' | sed 's/ $//' || true)"
+  echo "==> host: nproc=$(nproc 2>/dev/null || echo '?') isa=[${isa:-unknown}] GP_THREADS=${GP_THREADS:-unset}"
+}
+
 run_tier1() {
   echo "==> tier 1: default build + full test suite"
   cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
@@ -53,6 +64,7 @@ run_tsan() {
   (cd "$ROOT/build-tsan" && ctest --output-on-failure -j "$JOBS" -L 'tsan-smoke|serve|health')
 }
 
+print_host
 case "$MODE" in
   tier1) run_tier1 ;;
   asan)  run_asan ;;

@@ -48,7 +48,10 @@ void ThreadPool::work_on(Region& region) {
   // One span per participant per region: in a Perfetto trace every worker
   // shows a "exec.work" block for the stretch it helped with; the metrics
   // side accumulates per-worker busy time (the thread-sharded counter means
-  // per-thread utilisation survives in the shard totals).
+  // per-thread utilisation survives in the shard totals). Every participant
+  // opens it at the dispatcher's depth, so worker time never reads as a
+  // top-level stage next to the span that dispatched the region.
+  const obs::SpanDepthScope depth(region.span_depth);
   GP_SPAN("exec.work");
   const bool instrumented = obs::metrics_enabled();
   const std::uint64_t t0 = instrumented ? monotonic_ns() : 0;
@@ -113,6 +116,7 @@ void ThreadPool::run(std::size_t num_chunks, const ChunkFn& fn) {
   region.fn = &fn;
   region.num_chunks = num_chunks;
   region.errors.resize(num_chunks);
+  region.span_depth = obs::span_depth();
 
   {
     std::lock_guard<std::mutex> lock(mutex_);

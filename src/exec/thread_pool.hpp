@@ -59,6 +59,7 @@ class ThreadPool {
     std::atomic<std::size_t> done{0};
     std::vector<std::exception_ptr> errors;  ///< one slot per chunk
     int active_workers = 0;  ///< workers currently inside (guarded by mutex_)
+    int span_depth = 0;      ///< dispatching thread's trace-span depth
   };
 
   void worker_loop();

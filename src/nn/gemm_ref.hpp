@@ -1,29 +1,17 @@
 #pragma once
 // Retained naive GEMM reference kernels — the bitwise ground truth.
 //
-// These are serial, untiled copies of the pre-blocking `matmul*` kernels.
-// They define the numerical contract the optimized kernels in tensor.cpp
-// must reproduce bit-for-bit: per output element, k-terms accumulate in
-// ascending order, one rounding per `+=` statement (a single fused
-// multiply-add under the project's -ffp-contract regime), and the exact
-// zero-skip semantics of the original loops:
+// Serial, untiled i-k-j loops that state the numeric contract of the
+// blocked kernels in tensor.cpp (DESIGN.md §11.1). Per output element the
+// k-terms accumulate in ascending order, one FMA-contracted `+=` each, and
+// a zero left operand skips its whole j-pass (`a(i,k) == 0.0f` for matmul
+// and matmul_bt, `a(k,i) == 0.0f` for matmul_at): NaN/Inf in a masked row
+// of b (of b^T for matmul_bt) never propagates, and untouched outputs stay
+// +0.0f bits.
 //
-//   * matmul     skips the j-pass when a(i,k) == 0.0f  — so NaN/Inf in the
-//                masked b-row do NOT propagate, and -0.0 outputs survive;
-//   * matmul_at  skips when a(k,i) == 0.0f (same rationale);
-//   * matmul_bt  has NO skip — it is the dot-product form.
-//
-// test_gemm_kernel runs the differential battery (optimized vs these) and
-// bench/gemm_bench reports the speedup against them. They are header-only
-// and deliberately boring: do not "optimize" them.
-//
-// Comparison contract per kernel: matmul and matmul_at must match these
-// BIT-FOR-BIT on every shape. matmul_bt is BAND-CHECKED (tight ulp-scale
-// tolerance) instead: its serial k-reduction picks up a contraction mix
-// (fused vs mul-then-add per term) that depends on the compiler's
-// vectorization of the surrounding loop nest, so two source-identical
-// copies in different TUs may legitimately differ in final-ulp rounding.
-// Thread-count invariance is still exact for all three.
+// test_gemm_kernel memcmp-compares every optimized kernel against these,
+// and bench/gemm_bench reports the speedup against them. Do not
+// "optimize" them.
 #include "nn/tensor.hpp"
 
 namespace gp::nn {
@@ -49,16 +37,16 @@ inline void matmul_ref(const Tensor& a, const Tensor& b, Tensor& out) {
 inline void matmul_bt_ref(const Tensor& a, const Tensor& b, Tensor& out) {
   check_arg(a.cols() == b.cols(), "matmul_bt_ref inner dimension mismatch");
   if (out.rows() != a.rows() || out.cols() != b.rows()) out.resize(a.rows(), b.rows());
+  out.zero();
   const std::size_t K = a.cols();
   const std::size_t N = b.rows();
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const float* arow = a.row(i);
     float* orow = out.row(i);
-    for (std::size_t j = 0; j < N; ++j) {
-      const float* brow = b.row(j);
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-      orow[j] = acc;
+    for (std::size_t k = 0; k < K; ++k) {
+      const float aik = arow[k];
+      if (aik == 0.0f) continue;
+      for (std::size_t j = 0; j < N; ++j) orow[j] += aik * b.at(j, k);
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#define GP_RESTRICT __restrict__
+
 namespace gp::nn {
 
 // ---- Linear --------------------------------------------------------------
@@ -55,13 +57,15 @@ std::vector<Parameter*> Linear::parameters() { return {&weight_, &bias_}; }
 
 Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
   mask_ = Tensor(input.rows(), input.cols());
-  Tensor out = input;
+  Tensor out(input.rows(), input.cols());
+  const float* GP_RESTRICT x = input.vec().data();
+  float* GP_RESTRICT y = out.vec().data();
+  float* GP_RESTRICT m = mask_.vec().data();
+  // One branch-free pass; NaN and -0.0 fail `> 0` and map to +0 / mask 0.
   for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out.vec()[i] > 0.0f) {
-      mask_.vec()[i] = 1.0f;
-    } else {
-      out.vec()[i] = 0.0f;
-    }
+    const bool live = x[i] > 0.0f;
+    y[i] = live ? x[i] : 0.0f;
+    m[i] = live ? 1.0f : 0.0f;
   }
   return out;
 }
@@ -123,41 +127,67 @@ BatchNorm1d::BatchNorm1d(std::size_t num_features, Rng& /*rng*/, double momentum
   running_var_.value = Tensor(1, num_features, 1.0f);
 }
 
+// Both passes walk the [N, C] tensor row-major. Per-column statistics
+// live in double accumulators that still sum their column in ascending row
+// order, so every value matches the column-at-a-time formulation bit for
+// bit (tests/test_nn.cpp keeps that formulation as a differential oracle).
+
 Tensor BatchNorm1d::forward(const Tensor& input, bool training) {
   check_arg(input.cols() == features_, "BatchNorm input width mismatch");
   const std::size_t n = input.rows();
-  Tensor out(n, features_);
-  x_hat_ = Tensor(n, features_);
-  batch_var_ = Tensor(1, features_);
+  const std::size_t C = features_;
+  Tensor out(n, C);
+  x_hat_ = Tensor(n, C);
+  batch_var_ = Tensor(1, C);
+  trained_with_batch_ = training && n > 1;
 
-  for (std::size_t c = 0; c < features_; ++c) {
-    double m = 0.0;
-    double v = 0.0;
-    if (training && n > 1) {
-      for (std::size_t i = 0; i < n; ++i) m += input.at(i, c);
-      m /= static_cast<double>(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double d = input.at(i, c) - m;
-        v += d * d;
-      }
-      v /= static_cast<double>(n);
-      running_mean_.value.at(0, c) = static_cast<float>(
-          (1.0 - momentum_) * running_mean_.value.at(0, c) + momentum_ * m);
-      running_var_.value.at(0, c) = static_cast<float>(
-          (1.0 - momentum_) * running_var_.value.at(0, c) + momentum_ * v);
-    } else {
-      m = running_mean_.value.at(0, c);
-      v = running_var_.value.at(0, c);
-    }
-    batch_var_.at(0, c) = static_cast<float>(v);
-    const double inv_std = 1.0 / std::sqrt(v + eps_);
+  std::vector<double> mean(C, 0.0);
+  std::vector<double> inv_std(C, 0.0);  // holds the variance until the last pass
+  double* GP_RESTRICT m = mean.data();
+  double* GP_RESTRICT v = inv_std.data();
+  if (trained_with_batch_) {
     for (std::size_t i = 0; i < n; ++i) {
-      const double xh = (input.at(i, c) - m) * inv_std;
-      x_hat_.at(i, c) = static_cast<float>(xh);
-      out.at(i, c) = static_cast<float>(gamma_.value.at(0, c) * xh + beta_.value.at(0, c));
+      const float* GP_RESTRICT x = input.row(i);
+      for (std::size_t c = 0; c < C; ++c) m[c] += x[c];
+    }
+    for (std::size_t c = 0; c < C; ++c) m[c] /= static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* GP_RESTRICT x = input.row(i);
+      for (std::size_t c = 0; c < C; ++c) {
+        const double d = x[c] - m[c];
+        v[c] += d * d;
+      }
+    }
+    float* GP_RESTRICT rm = running_mean_.value.row(0);
+    float* GP_RESTRICT rv = running_var_.value.row(0);
+    for (std::size_t c = 0; c < C; ++c) {
+      v[c] /= static_cast<double>(n);
+      rm[c] = static_cast<float>((1.0 - momentum_) * rm[c] + momentum_ * m[c]);
+      rv[c] = static_cast<float>((1.0 - momentum_) * rv[c] + momentum_ * v[c]);
+    }
+  } else {
+    for (std::size_t c = 0; c < C; ++c) {
+      m[c] = running_mean_.value.at(0, c);
+      v[c] = running_var_.value.at(0, c);
     }
   }
-  trained_with_batch_ = training && n > 1;
+  for (std::size_t c = 0; c < C; ++c) {
+    batch_var_.at(0, c) = static_cast<float>(v[c]);
+    v[c] = 1.0 / std::sqrt(v[c] + eps_);
+  }
+
+  const float* GP_RESTRICT gamma = gamma_.value.row(0);
+  const float* GP_RESTRICT beta = beta_.value.row(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* GP_RESTRICT x = input.row(i);
+    float* GP_RESTRICT xh_row = x_hat_.row(i);
+    float* GP_RESTRICT y = out.row(i);
+    for (std::size_t c = 0; c < C; ++c) {
+      const double xh = (x[c] - m[c]) * v[c];
+      xh_row[c] = static_cast<float>(xh);
+      y[c] = static_cast<float>(gamma[c] * xh + beta[c]);
+    }
+  }
   return out;
 }
 
@@ -165,37 +195,61 @@ Tensor BatchNorm1d::backward(const Tensor& grad_output) {
   check_arg(grad_output.rows() == x_hat_.rows() && grad_output.cols() == features_,
             "BatchNorm backward shape mismatch");
   const std::size_t n = grad_output.rows();
-  Tensor dx(n, features_);
+  const std::size_t C = features_;
+  Tensor dx(n, C);
 
-  for (std::size_t c = 0; c < features_; ++c) {
-    const double inv_std = 1.0 / std::sqrt(static_cast<double>(batch_var_.at(0, c)) + eps_);
-    const double gamma = gamma_.value.at(0, c);
+  std::vector<double> inv_std(C);
+  std::vector<double> sum_g(C, 0.0);
+  std::vector<double> sum_gx(C, 0.0);
+  double* GP_RESTRICT is = inv_std.data();
+  double* GP_RESTRICT sg = sum_g.data();
+  double* GP_RESTRICT sgx = sum_gx.data();
+  const float* GP_RESTRICT gamma = gamma_.value.row(0);
+  for (std::size_t c = 0; c < C; ++c) {
+    is[c] = 1.0 / std::sqrt(static_cast<double>(batch_var_.at(0, c)) + eps_);
+  }
 
-    double sum_g = 0.0;
-    double sum_gx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double g = grad_output.at(i, c);
-      sum_g += g;
-      sum_gx += g * x_hat_.at(i, c);
-      gamma_.grad.at(0, c) += static_cast<float>(g * x_hat_.at(i, c));
-      beta_.grad.at(0, c) += static_cast<float>(g);
+  float* GP_RESTRICT dgamma = gamma_.grad.row(0);
+  float* GP_RESTRICT dbeta = beta_.grad.row(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* GP_RESTRICT g = grad_output.row(i);
+    const float* GP_RESTRICT xh = x_hat_.row(i);
+    for (std::size_t c = 0; c < C; ++c) {
+      const double gc = g[c];
+      sg[c] += gc;
+      sgx[c] += gc * xh[c];
+      dgamma[c] += static_cast<float>(gc * xh[c]);
+      dbeta[c] += static_cast<float>(gc);
     }
+  }
 
-    if (!trained_with_batch_) {
-      // Inference statistics were used: the normalisation is a per-element
-      // affine map, so the gradient is a plain scale.
-      for (std::size_t i = 0; i < n; ++i) {
-        dx.at(i, c) = static_cast<float>(grad_output.at(i, c) * gamma * inv_std);
+  if (!trained_with_batch_) {
+    // Inference statistics were used: the normalisation is a per-element
+    // affine map, so the gradient is a plain scale.
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* GP_RESTRICT g = grad_output.row(i);
+      float* GP_RESTRICT d = dx.row(i);
+      for (std::size_t c = 0; c < C; ++c) {
+        d[c] = static_cast<float>(g[c] * static_cast<double>(gamma[c]) * is[c]);
       }
-      continue;
     }
+    return dx;
+  }
 
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double g = grad_output.at(i, c);
-      const double xh = x_hat_.at(i, c);
-      dx.at(i, c) =
-          static_cast<float>(gamma * inv_std * (g - inv_n * sum_g - xh * inv_n * sum_gx));
+  // inv_n * sum_g is rounded on its own before the row pass, as the
+  // loop-invariant it was in the column-at-a-time loop.
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> mean_g(C);
+  double* GP_RESTRICT mg = mean_g.data();
+  for (std::size_t c = 0; c < C; ++c) mg[c] = inv_n * sg[c];
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* GP_RESTRICT g = grad_output.row(i);
+    const float* GP_RESTRICT xh = x_hat_.row(i);
+    float* GP_RESTRICT d = dx.row(i);
+    for (std::size_t c = 0; c < C; ++c) {
+      const double x = xh[c];
+      d[c] = static_cast<float>(static_cast<double>(gamma[c]) * is[c] *
+                                (g[c] - mg[c] - x * inv_n * sgx[c]));
     }
   }
   return dx;

@@ -95,6 +95,8 @@ class BatchNorm1d : public Layer {
   Parameter& gamma() { return gamma_; }
   Parameter& beta() { return beta_; }
   double eps() const { return eps_; }
+  /// Normalised input cached by the last forward() for backward().
+  const Tensor& x_hat() const { return x_hat_; }
 
  private:
   std::size_t features_;

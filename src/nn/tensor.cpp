@@ -161,41 +161,17 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& out, exec::ExecContext& ct
 
 void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out, exec::ExecContext& ctx) {
   check_arg(a.cols() == b.cols(), "matmul_bt inner dimension mismatch");
-  if (out.rows() != a.rows() || out.cols() != b.rows()) out.resize(a.rows(), b.rows());
-  const std::size_t K = a.cols();
-  const std::size_t N = b.rows();
-
-  // Dot-product form: each out(i,j) is one serial ascending-k reduction.
-  // This kernel is deliberately LEFT IN ITS ORIGINAL SOURCE FORM. The
-  // pipeline goldens pin the exact bits of the float chain this loop
-  // compiles to, and that chain is contraction-context-dependent (the
-  // compiler's vector body sums mul-then-add while its scalar path fuses —
-  // which mix a given K gets depends on codegen details a restructured
-  // packed kernel cannot reproduce portably). A blocked rewrite here would
-  // be answer-changing, so the battery in test_gemm_kernel band-checks this
-  // kernel against the reference instead of requiring bit-equality — and
-  // pins exact thread-count invariance, which chunking does guarantee.
-  // The serve hot path does not pass through here (FusedLinear carries its
-  // own epilogue-fused kernels), so raw speed matters least of the three.
-  const auto panel = [&](std::size_t rb, std::size_t re) {
-    for (std::size_t i = rb; i < re; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out.row(i);
-      for (std::size_t j = 0; j < N; ++j) {
-        const float* brow = b.row(j);
-        float acc = 0.0f;
-        for (std::size_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-        orow[j] = acc;
-      }
-    }
-  };
-
-  const std::size_t flops = a.rows() * K * N;
-  if (flops < kParallelMinFlops || ctx.threads() <= 1) {
-    panel(0, a.rows());
-    return;
+  // Pack b^T once — O(k*n) against the O(m*k*n) product — and run the
+  // blocked matmul kernel on it, so all three GEMMs share one kernel and
+  // one numeric contract. The scratch is per thread (a nested call from a
+  // parallel region packs into its own) and keeps its capacity.
+  thread_local Tensor packed;
+  packed.resize(b.cols(), b.rows());
+  for (std::size_t j = 0; j < b.rows(); ++j) {
+    const float* GP_RESTRICT brow = b.row(j);
+    for (std::size_t k = 0; k < b.cols(); ++k) packed.at(k, j) = brow[k];
   }
-  ctx.parallel_for_chunks(0, a.rows(), row_grain(a.rows(), K * N), panel);
+  matmul(a, packed, out, ctx);
 }
 
 void matmul_at(const Tensor& a, const Tensor& b, Tensor& out, exec::ExecContext& ctx) {

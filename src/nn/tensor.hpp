@@ -71,7 +71,8 @@ class Tensor {
 /// out = a (rows x k) * b (k x cols). Shapes validated.
 void matmul(const Tensor& a, const Tensor& b, Tensor& out,
             exec::ExecContext& ctx = exec::ExecContext::global());
-/// out = a (rows x k) * b^T where b is (cols x k).
+/// out = a (rows x k) * b^T where b is (cols x k). Runs matmul on b^T,
+/// packed into a per-thread scratch tensor, so it has matmul's exact bits.
 void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out,
                exec::ExecContext& ctx = exec::ExecContext::global());
 /// out = a^T (k x rows) * b (k x cols)  => (rows x cols).

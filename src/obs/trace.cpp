@@ -58,9 +58,13 @@ struct BufferDirectory {
   std::vector<std::shared_ptr<TraceBuffer>> buffers;
 };
 
+/// Leaked on purpose: a pool worker registers its buffer when it starts
+/// (set_thread_name), which can still be running while a short-lived
+/// process's static destructors tear down; a destroyed directory there is
+/// a double free.
 BufferDirectory& directory() {
-  static BufferDirectory dir;
-  return dir;
+  static BufferDirectory* dir = new BufferDirectory;
+  return *dir;
 }
 
 TraceBuffer& thread_buffer() {
@@ -121,6 +125,11 @@ std::vector<StageSnapshot> stage_snapshots() {
 }
 
 // -------------------------------------------------------------------- Span
+
+int span_depth() { return tl_span_depth; }
+
+SpanDepthScope::SpanDepthScope(int depth) : saved_(tl_span_depth) { tl_span_depth = depth; }
+SpanDepthScope::~SpanDepthScope() { tl_span_depth = saved_; }
 
 Span::Span(const char* name, StageStats* stats) {
   const bool metrics = metrics_enabled();

@@ -97,6 +97,24 @@ class Span {
   bool active_ = false;
 };
 
+/// Depth the calling thread's next span opens at (its open-span count).
+int span_depth();
+
+/// Sets the calling thread's span depth for a scope and restores it on exit.
+/// gp::exec opens one around each parallel-region participant, so spans a
+/// worker records nest under the depth of the thread that dispatched the
+/// region instead of reading as top-level stages.
+class SpanDepthScope {
+ public:
+  explicit SpanDepthScope(int depth);
+  ~SpanDepthScope();
+  SpanDepthScope(const SpanDepthScope&) = delete;
+  SpanDepthScope& operator=(const SpanDepthScope&) = delete;
+
+ private:
+  int saved_;
+};
+
 #define GP_OBS_CONCAT2(a, b) a##b
 #define GP_OBS_CONCAT(a, b) GP_OBS_CONCAT2(a, b)
 

@@ -345,7 +345,7 @@ TEST(GoldenSnapshot, GemmBenchSchemaMatchesGolden) {
   mm.check = "bitwise";
   obs::GemmBenchRow bt = mm;
   bt.kernel = "matmul_bt";
-  bt.check = "band";
+  bt.check = "bitwise";
   const std::string gemm = obs::gemm_bench_json(1, {mm, bt});
 
   testkit::Snapshot snap;

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -176,6 +182,205 @@ TEST(BatchNorm, RunningStatsUsedAtInference) {
   probe.at(0, 0) = 5.0f;
   const Tensor y = bn.forward(probe, false);
   EXPECT_NEAR(y.at(0, 0), 0.0, 0.15);
+}
+
+// ---- Row-major BatchNorm/ReLU vs their column-at-a-time formulation -------
+//
+// The layers walk [N, C] tensors row-major; these references are the
+// original column-major loops, kept verbatim so a memcmp pins every output,
+// cached statistic and gradient to the same bits.
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.vec().empty() ||
+          std::memcmp(a.vec().data(), b.vec().data(), a.vec().size() * sizeof(float)) == 0);
+}
+
+struct ColumnMajorBatchNorm {
+  std::size_t features;
+  double momentum = 0.1;
+  double eps = 1e-5;
+  Tensor gamma, beta, gamma_grad, beta_grad, running_mean, running_var;
+  Tensor x_hat, batch_var;
+  bool trained_with_batch = false;
+
+  explicit ColumnMajorBatchNorm(std::size_t c)
+      : features(c),
+        gamma(1, c, 1.0f),
+        beta(1, c),
+        gamma_grad(1, c),
+        beta_grad(1, c),
+        running_mean(1, c),
+        running_var(1, c, 1.0f) {}
+
+  Tensor forward(const Tensor& input, bool training) {
+    const std::size_t n = input.rows();
+    Tensor out(n, features);
+    x_hat = Tensor(n, features);
+    batch_var = Tensor(1, features);
+    for (std::size_t c = 0; c < features; ++c) {
+      double m = 0.0;
+      double v = 0.0;
+      if (training && n > 1) {
+        for (std::size_t i = 0; i < n; ++i) m += input.at(i, c);
+        m /= static_cast<double>(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double d = input.at(i, c) - m;
+          v += d * d;
+        }
+        v /= static_cast<double>(n);
+        running_mean.at(0, c) =
+            static_cast<float>((1.0 - momentum) * running_mean.at(0, c) + momentum * m);
+        running_var.at(0, c) =
+            static_cast<float>((1.0 - momentum) * running_var.at(0, c) + momentum * v);
+      } else {
+        m = running_mean.at(0, c);
+        v = running_var.at(0, c);
+      }
+      batch_var.at(0, c) = static_cast<float>(v);
+      const double inv_std = 1.0 / std::sqrt(v + eps);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double xh = (input.at(i, c) - m) * inv_std;
+        x_hat.at(i, c) = static_cast<float>(xh);
+        out.at(i, c) = static_cast<float>(gamma.at(0, c) * xh + beta.at(0, c));
+      }
+    }
+    trained_with_batch = training && n > 1;
+    return out;
+  }
+
+  Tensor backward(const Tensor& grad_output) {
+    const std::size_t n = grad_output.rows();
+    Tensor dx(n, features);
+    for (std::size_t c = 0; c < features; ++c) {
+      const double inv_std = 1.0 / std::sqrt(static_cast<double>(batch_var.at(0, c)) + eps);
+      const double g_c = gamma.at(0, c);
+      double sum_g = 0.0;
+      double sum_gx = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double g = grad_output.at(i, c);
+        sum_g += g;
+        sum_gx += g * x_hat.at(i, c);
+        gamma_grad.at(0, c) += static_cast<float>(g * x_hat.at(i, c));
+        beta_grad.at(0, c) += static_cast<float>(g);
+      }
+      if (!trained_with_batch) {
+        for (std::size_t i = 0; i < n; ++i) {
+          dx.at(i, c) = static_cast<float>(grad_output.at(i, c) * g_c * inv_std);
+        }
+        continue;
+      }
+      const double inv_n = 1.0 / static_cast<double>(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double g = grad_output.at(i, c);
+        const double xh = x_hat.at(i, c);
+        dx.at(i, c) =
+            static_cast<float>(g_c * inv_std * (g - inv_n * sum_g - xh * inv_n * sum_gx));
+      }
+    }
+    return dx;
+  }
+};
+
+/// Runs `steps` forward/backward rounds through both implementations with
+/// identical parameters and inputs, comparing everything bit for bit.
+void expect_batchnorm_matches_reference(std::size_t n, std::size_t c,
+                                        const std::vector<bool>& training_per_step,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  BatchNorm1d bn(c, rng);
+  ColumnMajorBatchNorm ref(c);
+  ASSERT_EQ(ref.eps, bn.eps());
+  bn.gamma().value.randn(rng, 1.0);
+  bn.beta().value.randn(rng, 0.5);
+  bn.running_mean().randn(rng, 0.3);
+  for (float& v : bn.running_var().vec()) v = 0.5f + static_cast<float>(rng.uniform());
+  ref.gamma = bn.gamma().value;
+  ref.beta = bn.beta().value;
+  ref.running_mean = bn.running_mean();
+  ref.running_var = bn.running_var();
+
+  for (std::size_t step = 0; step < training_per_step.size(); ++step) {
+    const bool training = training_per_step[step];
+    Tensor x(n, c);
+    x.randn(rng, 2.0);
+    for (std::size_t i = 0; i < n; ++i) x.at(i, 0) += 3.0f;  // off-centre column
+    // The last column also carries +-2^40 pairs that cancel: its double
+    // sums round at ~2^-12, so any change of accumulation order shows.
+    for (std::size_t i = 0; i + 1 < n; i += 4) {
+      x.at(i, c - 1) = std::ldexp(1.0f + std::fabs(x.at(i, c - 1)), 40);
+      x.at(i + 1, c - 1) = -x.at(i, c - 1);
+    }
+    Tensor g(n, c);
+    g.randn(rng, 1.0);
+    const std::string where = "n=" + std::to_string(n) + " c=" + std::to_string(c) +
+                              " step=" + std::to_string(step) +
+                              (training ? " train" : " eval");
+
+    EXPECT_TRUE(bitwise_equal(bn.forward(x, training), ref.forward(x, training)))
+        << "output " << where;
+    EXPECT_TRUE(bitwise_equal(bn.x_hat(), ref.x_hat)) << "x_hat " << where;
+    EXPECT_TRUE(bitwise_equal(bn.running_mean(), ref.running_mean)) << "running_mean " << where;
+    EXPECT_TRUE(bitwise_equal(bn.running_var(), ref.running_var)) << "running_var " << where;
+    EXPECT_TRUE(bitwise_equal(bn.backward(g), ref.backward(g))) << "dx " << where;
+    EXPECT_TRUE(bitwise_equal(bn.gamma().grad, ref.gamma_grad)) << "gamma grad " << where;
+    EXPECT_TRUE(bitwise_equal(bn.beta().grad, ref.beta_grad)) << "beta grad " << where;
+  }
+}
+
+TEST(BatchNorm, RowMajorMatchesColumnMajorReferenceInTraining) {
+  expect_batchnorm_matches_reference(64, 32, {true, true, true}, 21);
+  expect_batchnorm_matches_reference(37, 19, {true, true}, 22);  // odd C
+  expect_batchnorm_matches_reference(5, 1, {true, true}, 23);
+}
+
+TEST(BatchNorm, RowMajorMatchesColumnMajorReferenceInEval) {
+  expect_batchnorm_matches_reference(48, 24, {false, false}, 24);
+  expect_batchnorm_matches_reference(9, 7, {false}, 25);
+}
+
+TEST(BatchNorm, RowMajorMatchesColumnMajorReferenceForSingleRow) {
+  // n == 1 in training falls back to running statistics.
+  expect_batchnorm_matches_reference(1, 16, {true, true}, 26);
+  expect_batchnorm_matches_reference(1, 5, {true, false}, 27);
+}
+
+TEST(BatchNorm, RowMajorMatchesColumnMajorReferenceAcrossModeSwitches) {
+  // Backward after an eval-mode forward uses the plain-scale gradient; the
+  // next training step must pick the batch path back up.
+  expect_batchnorm_matches_reference(33, 13, {true, false, true, false}, 28);
+}
+
+TEST(ReLU, BranchFreeMatchesMaskedReference) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(29);
+  Tensor x(7, 13);
+  x.randn(rng, 1.0);
+  const float specials[] = {0.0f, -0.0f, nan, -nan, inf, -inf,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min()};
+  for (std::size_t i = 0; i < std::size(specials); ++i) x.vec()[i * 5] = specials[i];
+  Tensor g(7, 13);
+  g.randn(rng, 1.0);
+  g.vec()[3] = -g.vec()[3];
+
+  // Reference: the original masked loop.
+  Tensor ref_mask(x.rows(), x.cols());
+  Tensor ref_out = x;
+  for (std::size_t i = 0; i < ref_out.numel(); ++i) {
+    if (ref_out.vec()[i] > 0.0f) {
+      ref_mask.vec()[i] = 1.0f;
+    } else {
+      ref_out.vec()[i] = 0.0f;
+    }
+  }
+  Tensor ref_dx = g;
+  for (std::size_t i = 0; i < ref_dx.numel(); ++i) ref_dx.vec()[i] *= ref_mask.vec()[i];
+
+  ReLU relu;
+  EXPECT_TRUE(bitwise_equal(relu.forward(x, true), ref_out));
+  EXPECT_TRUE(bitwise_equal(relu.backward(g), ref_dx));
 }
 
 TEST(Sequential, ComposesLayers) {

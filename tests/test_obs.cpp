@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hpp"
+#include "exec/exec.hpp"
 #include "gesidnet/batch.hpp"
 #include "gesidnet/gesidnet.hpp"
 #include "gesidnet/trainer.hpp"
@@ -228,6 +230,42 @@ TEST(ObsTrace, StageStatsRecordMinDepthAndDurations) {
   }
   EXPECT_TRUE(outer_seen);
   EXPECT_TRUE(inner_seen);
+}
+
+TEST(ObsTrace, WorkerSpansNestUnderTheDispatchingSpan) {
+  ObsSwitchGuard guard;
+  obs::set_metrics_enabled(true);
+  obs::set_trace_enabled(true);
+  obs::clear_trace();
+
+  exec::ExecContext ctx(4);
+  const int caller_tid = thread_ordinal();
+  {
+    GP_SPAN("test.dispatch_outer");
+    // Slow chunks, so the workers pick some of them up.
+    ctx.parallel_for_chunks(0, 32, 1, [](std::size_t, std::size_t) {
+      GP_SPAN("test.dispatch_inner");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
+  }
+
+  // outer (0) -> exec.work (1) -> inner (2), on the caller and the workers.
+  std::size_t inner_events = 0;
+  std::size_t worker_events = 0;
+  for (const auto& e : obs::collect_trace_events()) {
+    if (std::string(e.name) != "test.dispatch_inner") continue;
+    ++inner_events;
+    if (e.tid != caller_tid) ++worker_events;
+    EXPECT_EQ(e.depth, 2) << "tid " << e.tid;
+  }
+  EXPECT_EQ(inner_events, 32u);
+  EXPECT_GT(worker_events, 0u) << "no chunk ran on a worker thread";
+  for (const auto& s : obs::stage_snapshots()) {
+    if (s.name == "test.dispatch_inner") {
+      EXPECT_EQ(s.min_depth, 2);
+    }
+  }
+  EXPECT_EQ(obs::span_depth(), 0);
 }
 
 TEST(ObsTrace, ChromeTraceJsonIsWellFormed) {
