@@ -46,6 +46,11 @@ GesIDNet::GesIDNet(GesIDNetConfig config, Rng& rng) : config_(std::move(config))
   head2_->emplace<nn::Linear>(config_.head2_hidden, config_.num_classes, rng, "head2.fc1");
 }
 
+GesIDNet::GesIDNet(GesIDNetConfig config, std::unique_ptr<Rng> rng)
+    : GesIDNet(std::move(config), *rng) {
+  owned_rng_ = std::move(rng);
+}
+
 GesIDNet::ForwardOut GesIDNet::forward_internal(const BatchedCloud& batch, bool training) {
   GP_SPAN("gesidnet.fwd");
   {
@@ -192,9 +197,8 @@ std::unique_ptr<GesIDNet> GesIDNet::widen_head(std::size_t new_classes, std::uin
   // Same ownership pattern as clone(): the widened model carries its own Rng
   // so its Dropout layers have a live stream when it is trained later. The
   // seed also determines the fresh init of the added class rows.
-  auto rng = std::make_unique<Rng>(seed, 0xA02BDBF7BB3C0A7EULL);
-  auto copy = std::make_unique<GesIDNet>(std::move(config), *rng);
-  copy->owned_rng_ = std::move(rng);
+  auto copy = std::make_unique<GesIDNet>(std::move(config),
+                                         std::make_unique<Rng>(seed, 0xA02BDBF7BB3C0A7EULL));
 
   const auto src_params = parameters();
   const auto dst_params = copy->parameters();
@@ -286,9 +290,8 @@ std::unique_ptr<PointCloudClassifier> GesIDNet::clone() {
   // away immediately when the source weights are copied over. The clone
   // carries its own Rng so its Dropout layers never share a stream with the
   // original (only relevant if a caller trains the clone).
-  auto rng = std::make_unique<Rng>(0xC10E5EEDBEEFCAFEULL, 0xA02BDBF7BB3C0A7EULL);
-  auto copy = std::make_unique<GesIDNet>(config_, *rng);
-  copy->owned_rng_ = std::move(rng);
+  auto copy = std::make_unique<GesIDNet>(
+      config_, std::make_unique<Rng>(0xC10E5EEDBEEFCAFEULL, 0xA02BDBF7BB3C0A7EULL));
 
   const auto copy_state = [](std::vector<nn::Parameter*> src, std::vector<nn::Parameter*> dst) {
     check(src.size() == dst.size(), "clone parameter list mismatch");

@@ -35,6 +35,10 @@ struct GesIDNetConfig {
 class GesIDNet : public PointCloudClassifier {
  public:
   GesIDNet(GesIDNetConfig config, Rng& rng);
+  /// Same, but the model owns `rng`: its Dropout layers keep a live stream
+  /// after the scope that built the model ends (a later fine-tune trains
+  /// it). The stream continues exactly where construction left it.
+  GesIDNet(GesIDNetConfig config, std::unique_ptr<Rng> rng);
 
   nn::Tensor infer(const BatchedCloud& batch) override;
   double train_step(const BatchedCloud& batch, const std::vector<int>& labels) override;
@@ -115,8 +119,9 @@ class GesIDNet : public PointCloudClassifier {
   nn::QuantMode quant_ = nn::QuantMode::kOff;  ///< mode the fuse ran with
   /// Tables stashed by deserialization, consumed at fuse time.
   std::vector<nn::QuantLinearTables> pending_quant_;
-  /// Clones own their Rng (the primary model borrows the caller's); declared
-  /// before the layers so it outlives the Dropout that points into it.
+  /// Set by the owning constructor (clones, widened heads and system
+  /// models); otherwise the model borrows the caller's Rng. Declared before
+  /// the layers so it outlives the Dropout that points into it.
   std::unique_ptr<Rng> owned_rng_;
   std::unique_ptr<SetAbstraction> sa1_;
   std::unique_ptr<SetAbstraction> sa2_;

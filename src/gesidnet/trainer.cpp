@@ -112,12 +112,6 @@ void infer_batch_into(PointCloudClassifier& model, std::span<const FeaturizedSam
 
 }  // namespace
 
-nn::Tensor predict_logits(PointCloudClassifier& model,
-                          const std::vector<FeaturizedSample>& samples,
-                          std::size_t batch_size, exec::ExecContext& ctx) {
-  return predict_logits(model, std::span<const FeaturizedSample>(samples), batch_size, ctx);
-}
-
 nn::Tensor predict_logits(PointCloudClassifier& model, std::span<const FeaturizedSample> samples,
                           std::size_t batch_size, exec::ExecContext& ctx) {
   nn::Tensor all;

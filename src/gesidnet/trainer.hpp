@@ -55,13 +55,7 @@ TrainStats train_classifier(PointCloudClassifier& model, const LabeledSamples& d
 /// When the model supports clone(), batches are distributed across
 /// per-thread replicas (batch slicing is fixed by `batch_size`, so logits
 /// match the serial path exactly); otherwise inference runs serially with
-/// the layer kernels parallelised on `ctx`.
-nn::Tensor predict_logits(PointCloudClassifier& model,
-                          const std::vector<FeaturizedSample>& samples,
-                          std::size_t batch_size = 64,
-                          exec::ExecContext& ctx = exec::ExecContext::global());
-
-/// Span variant (contiguous storage from any container).
+/// the layer kernels parallelised on `ctx`. Takes any contiguous storage.
 nn::Tensor predict_logits(PointCloudClassifier& model, std::span<const FeaturizedSample> samples,
                           std::size_t batch_size = 64,
                           exec::ExecContext& ctx = exec::ExecContext::global());

@@ -40,8 +40,11 @@ namespace gp::health {
 ///   queue_wait     : shard drain began -> segment submitted to the batcher
 ///                    (includes featurization)
 ///   batch_wait     : batcher submit -> the flush that served it started
-///   forward        : the flush's fused model passes (shared by the batch)
-///   epilogue       : the rest of the flush (routing, margins, result fill)
+///   forward        : the model passes inside the flush's decide() call, as
+///                    DecideScratch::forward_ns times them (shared by the
+///                    batch)
+///   epilogue       : the rest of the flush (row table, averaging, routing,
+///                    margins, result fill)
 enum class Stage {
   kAdmissionWait = 0,
   kQueueWait,

@@ -5,12 +5,6 @@
 
 namespace gp::nn {
 
-Tensor softmax(const Tensor& logits) {
-  Tensor out;
-  softmax_into(logits, out);
-  return out;
-}
-
 void softmax_into(const Tensor& logits, Tensor& out) {
   out.resize(logits.rows(), logits.cols());
   for (std::size_t i = 0; i < logits.rows(); ++i) {
@@ -35,7 +29,7 @@ LossResult softmax_cross_entropy(const Tensor& logits, const std::vector<int>& l
   check_arg(logits.rows() > 0, "empty batch");
 
   LossResult result;
-  result.probabilities = softmax(logits);
+  softmax_into(logits, result.probabilities);
   result.grad = result.probabilities;
 
   const double inv_n = 1.0 / static_cast<double>(logits.rows());

@@ -8,11 +8,8 @@
 
 namespace gp::nn {
 
-/// Row-wise softmax of logits.
-Tensor softmax(const Tensor& logits);
-
-/// Allocation-free variant: writes the row-wise softmax into `out`,
-/// reusing its buffer when the shape already matches.
+/// Row-wise softmax of logits, written into `out` (reusing its buffer when
+/// the shape already matches).
 void softmax_into(const Tensor& logits, Tensor& out);
 
 struct LossResult {

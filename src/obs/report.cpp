@@ -31,6 +31,41 @@ std::string env_or(const char* name, const std::string& fallback) {
   return v != nullptr ? std::string(v) : fallback;
 }
 
+/// The x86 ISA extensions this binary was compiled for (the -march
+/// macros), comma-separated; empty for a baseline build.
+std::string build_isa() {
+  const std::string isa = ""
+#if defined(__SSE4_2__)
+                          ",sse4.2"
+#endif
+#if defined(__AVX__)
+                          ",avx"
+#endif
+#if defined(__AVX2__)
+                          ",avx2"
+#endif
+#if defined(__FMA__)
+                          ",fma"
+#endif
+#if defined(__AVX512F__)
+                          ",avx512f"
+#endif
+#if defined(__AVX512BW__)
+                          ",avx512bw"
+#endif
+#if defined(__AVX512VL__)
+                          ",avx512vl"
+#endif
+#if defined(__AVX512VNNI__)
+                          ",avx512vnni"
+#endif
+#if defined(__AVXVNNI__)
+                          ",avxvnni"
+#endif
+      ;
+  return isa.empty() ? isa : isa.substr(1);
+}
+
 }  // namespace
 
 void write_run_report_json(std::ostream& out, const std::string& name) {
@@ -56,9 +91,13 @@ void write_run_report_json(std::ostream& out, const std::string& name) {
 #endif
       << "\"},\n";
 
+  // The host every number in this report was measured on.
+  out << "  \"host\": {"
+      << "\"hardware_concurrency\": " << std::max(1u, std::thread::hardware_concurrency())
+      << ", \"isa\": \"" << build_isa() << "\""
+      << ", \"gp_threads\": \"" << json::escape(env_or("GP_THREADS", "")) << "\"},\n";
+
   out << "  \"config\": {"
-      << "\"gp_threads_env\": \"" << json::escape(env_or("GP_THREADS", "")) << "\", "
-      << "\"hardware_concurrency\": " << std::max(1u, std::thread::hardware_concurrency()) << ", "
       << "\"scale\": \"" << json::escape(run_scale_name()) << "\", "
       << "\"metrics\": " << (metrics_enabled() ? "true" : "false") << ", "
       << "\"trace\": " << (trace_enabled() ? "true" : "false") << "},\n";

@@ -3,7 +3,9 @@
 //
 // write_run_report("quickstart") writes <output_dir>/REPORT_quickstart.json
 // containing
-//   * build / thread / scale configuration,
+//   * the host: hardware_concurrency, the ISA extensions the binary was
+//     built for, and GP_THREADS as set,
+//   * build / scale configuration,
 //   * the wall clock since the process epoch,
 //   * the per-stage latency breakdown (every GP_SPAN site: count, total,
 //     mean, p50/p95/p99, min nesting depth — min-depth-0 stages are the

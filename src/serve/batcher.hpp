@@ -3,12 +3,13 @@
 // Completed featurized segments from *all* sessions accumulate in one FIFO.
 // A flush happens when (a) the FIFO reaches batch_max segments, (b) the
 // oldest pending segment has waited batch_wait_us of wall-clock time, or
-// (c) the caller forces one (stream drain). Each flush runs the batch
-// through the registry's current ModelSnapshot: one batched gesture-model
-// predict_logits over every variant row, then one batched pass per routed
-// user-ID model — so the per-forward fixed costs are amortised across
-// sessions, and (with the snapshot's fused layers) the whole batch rides the
-// inference-only fast path.
+// (c) the caller forces one (stream drain). Each flush hands the batch's
+// variant rows to the registry's current ModelSnapshot through
+// GesturePrintSystem::decide() — the same decision core classify() and
+// evaluate() use: one batched gesture forward over every variant row, then
+// one batched pass per routed user-ID model — so the per-forward fixed costs
+// are amortised across sessions, and (with the snapshot's fused layers) the
+// whole batch rides the inference-only fast path.
 //
 // Correctness under batching: the inference stack is per-sample
 // batch-composition independent (inference-mode BN uses running stats;
@@ -19,9 +20,10 @@
 // mid-flush.
 //
 // Memory model (DESIGN.md §9): the FIFO is a head-indexed vector ring of
-// pooled SegmentPtr handles, and every flush reuses one BatchScratch —
-// row tables, routing lists, logits/probs tensors — owned by the (single)
-// pump thread. A poll that flushes nothing performs no heap allocation.
+// pooled SegmentPtr handles, and every flush reuses one BatchScratch — the
+// row table, decide()'s DecideScratch and its recycled result slots — owned
+// by the (single) pump thread. A poll that flushes nothing performs no heap
+// allocation.
 #pragma once
 
 #include <chrono>
@@ -30,7 +32,6 @@
 #include <vector>
 
 #include "common/mem.hpp"
-#include "nn/tensor.hpp"
 #include "serve/enroll_hook.hpp"
 #include "serve/registry.hpp"
 #include "serve/sessions.hpp"
@@ -102,18 +103,14 @@ class MicroBatcher {
   Stats stats_;  ///< guarded by mu_
   /// Flush working set, reused across batches (pump thread only).
   struct BatchScratch {
-    std::vector<Entry> entries;                     ///< the staged batch
-    std::vector<std::size_t> live;                  ///< indices going to inference
-    std::vector<std::size_t> row_begin;             ///< per-live first variant row
-    mem::SlotVector<FeaturizedSample> rows;         ///< gesture-pass row table
-    std::vector<std::vector<std::size_t>> by_model; ///< user-model routing lists
-    std::vector<std::size_t> group_begin;           ///< per-member first row
-    mem::SlotVector<FeaturizedSample> group_rows;   ///< user-pass row table
-    std::vector<double> avg;                        ///< TTA-averaged posterior
-    nn::Tensor gesture_logits;
-    nn::Tensor gesture_probs;
-    nn::Tensor user_logits;
-    nn::Tensor user_probs;
+    std::vector<Entry> entries;                    ///< the staged batch
+    std::vector<std::size_t> live;                 ///< indices going to inference
+    std::vector<std::size_t> row_begin;            ///< per-live first row, + end
+    mem::SlotVector<FeaturizedSample> rows;        ///< decide() row table
+    DecideScratch decide;
+    /// Per-live answers. Slots stay at their high-water count: a shrinking
+    /// resize would free posterior buffers the next larger batch reallocates.
+    mem::SlotVector<InferenceResult> decisions;
   };
   BatchScratch scratch_;
 };

@@ -40,7 +40,7 @@ void warm_up(GesturePrintSystem& system, const GesturePrintConfig& config) {
 
   (void)predict_logits(system.gesture_model(), one);
   for (std::size_t g = 0; g < system.num_user_models(); ++g) {
-    if (GesIDNet* model = system.user_model(g)) (void)predict_logits(*model, one);
+    (void)predict_logits(*system.user_model(g), one);
   }
 }
 

@@ -38,6 +38,18 @@ double env_abstain_margin(double fallback) {
   return parsed;
 }
 
+/// `indices` split by the gesture label of each sample (index = gesture
+/// id), keeping their order.
+std::vector<std::vector<std::size_t>> split_by_gesture(const Dataset& dataset,
+                                                       std::span<const std::size_t> indices,
+                                                       std::size_t num_gestures) {
+  std::vector<std::vector<std::size_t>> groups(num_gestures);
+  for (const std::size_t idx : indices) {
+    groups[static_cast<std::size_t>(dataset.samples[idx].gesture)].push_back(idx);
+  }
+  return groups;
+}
+
 }  // namespace
 
 double top2_margin(const std::vector<double>& probabilities) {
@@ -77,13 +89,23 @@ void GesturePrintSystem::fit(const Dataset& dataset,
   num_gestures_ = dataset.num_gestures();
   num_users_ = dataset.num_users();
   check_arg(num_gestures_ >= 2 && num_users_ >= 2, "need >= 2 gestures and users");
+  const bool serialized = config_.mode == IdentificationMode::kSerialized;
+  // Serialized routing sends every recognised gesture to its own ID model,
+  // so each gesture needs training samples (DESIGN.md §8.5).
+  const std::vector<std::vector<std::size_t>> by_gesture =
+      serialized ? split_by_gesture(dataset, train_indices, num_gestures_)
+                 : std::vector<std::vector<std::size_t>>{};
+  for (std::size_t g = 0; g < by_gesture.size(); ++g) {
+    check_arg(!by_gesture[g].empty(),
+              "serialized fit needs training samples of every gesture; gesture " +
+                  std::to_string(g) + " has none");
+  }
 
   // ---- gesture recognition model ----
   {
     GesIDNetConfig net = config_.network;
     net.num_classes = num_gestures_;
-    Rng init = rng_.fork();
-    gesture_model_ = std::make_unique<GesIDNet>(net, init);
+    gesture_model_ = std::make_unique<GesIDNet>(net, std::make_unique<Rng>(rng_.fork()));
     Rng prep_rng = rng_.fork();
     const LabeledSamples train = prepare_subset(dataset, train_indices, LabelKind::kGesture,
                                                 config_.prep, prep_rng);
@@ -98,9 +120,8 @@ void GesturePrintSystem::fit(const Dataset& dataset,
   GesIDNetConfig net = config_.network;
   net.num_classes = num_users_;
 
-  if (config_.mode == IdentificationMode::kParallel) {
-    Rng init = rng_.fork();
-    auto model = std::make_unique<GesIDNet>(net, init);
+  if (!serialized) {
+    auto model = std::make_unique<GesIDNet>(net, std::make_unique<Rng>(rng_.fork()));
     Rng prep_rng = rng_.fork();
     const LabeledSamples train =
         prepare_subset(dataset, train_indices, LabelKind::kUser, config_.prep, prep_rng);
@@ -114,16 +135,9 @@ void GesturePrintSystem::fit(const Dataset& dataset,
   // Serialized: one ID model per gesture, trained on that gesture's samples.
   user_models_.resize(num_gestures_);
   for (std::size_t g = 0; g < num_gestures_; ++g) {
-    std::vector<std::size_t> gesture_indices;
-    for (std::size_t idx : train_indices) {
-      if (dataset.samples[idx].gesture == static_cast<int>(g)) gesture_indices.push_back(idx);
-    }
-    if (gesture_indices.empty()) continue;  // gesture absent from training
-
-    Rng init = rng_.fork();
-    auto model = std::make_unique<GesIDNet>(net, init);
+    auto model = std::make_unique<GesIDNet>(net, std::make_unique<Rng>(rng_.fork()));
     Rng prep_rng = rng_.fork();
-    const LabeledSamples train = prepare_subset(dataset, gesture_indices, LabelKind::kUser,
+    const LabeledSamples train = prepare_subset(dataset, by_gesture[g], LabelKind::kUser,
                                                 config_.prep, prep_rng);
     TrainConfig tc = config_.training;
     tc.seed = rng_();
@@ -179,16 +193,12 @@ void GesturePrintSystem::fine_tune(const Dataset& dataset,
     train_classifier(*user_models_.front(), adapt, tc);
     return;
   }
+  const auto by_gesture = split_by_gesture(dataset, indices, num_gestures_);
   for (std::size_t g = 0; g < num_gestures_; ++g) {
-    if (user_models_[g] == nullptr) continue;
-    std::vector<std::size_t> gesture_indices;
-    for (std::size_t idx : indices) {
-      if (dataset.samples[idx].gesture == static_cast<int>(g)) gesture_indices.push_back(idx);
-    }
     // Per-gesture adaptation needs at least a minibatch worth of samples.
-    if (gesture_indices.size() < 4) continue;
+    if (by_gesture[g].size() < 4) continue;
     Rng prep_rng = rng_.fork();
-    const LabeledSamples adapt = prepare_subset(dataset, gesture_indices, LabelKind::kUser,
+    const LabeledSamples adapt = prepare_subset(dataset, by_gesture[g], LabelKind::kUser,
                                                 config_.prep, prep_rng);
     train_classifier(*user_models_[g], adapt, tc);
   }
@@ -203,7 +213,6 @@ int GesturePrintSystem::widen_users(std::uint64_t seed) {
   // existing fit/load/classify draw sequence must stay untouched so the
   // pre-enrollment paths remain bitwise identical.
   for (std::size_t g = 0; g < user_models_.size(); ++g) {
-    if (user_models_[g] == nullptr) continue;
     user_models_[g] = user_models_[g]->widen_head(num_users_, exec::child_seed(seed, g));
   }
   return new_user;
@@ -230,16 +239,12 @@ void GesturePrintSystem::fine_tune_user_heads(const Dataset& dataset,
     train_classifier(*user_models_.front(), adapt, tc);
     return;
   }
+  const auto by_gesture = split_by_gesture(dataset, indices, num_gestures_);
   for (std::size_t g = 0; g < num_gestures_; ++g) {
-    if (g >= user_models_.size() || user_models_[g] == nullptr) continue;
-    std::vector<std::size_t> gesture_indices;
-    for (std::size_t idx : indices) {
-      if (dataset.samples[idx].gesture == static_cast<int>(g)) gesture_indices.push_back(idx);
-    }
     // Per-gesture adaptation needs at least a minibatch worth of samples.
-    if (gesture_indices.size() < 4) continue;
+    if (by_gesture[g].size() < 4) continue;
     Rng prep_rng = rng_.fork();
-    const LabeledSamples adapt = prepare_subset(dataset, gesture_indices, LabelKind::kUser,
+    const LabeledSamples adapt = prepare_subset(dataset, by_gesture[g], LabelKind::kUser,
                                                 config_.prep, prep_rng);
     train_classifier(*user_models_[g], adapt, tc);
   }
@@ -248,9 +253,7 @@ void GesturePrintSystem::fine_tune_user_heads(const Dataset& dataset,
 void GesturePrintSystem::fuse_for_inference(nn::QuantMode mode) {
   check(fitted(), "fuse_for_inference before fit");
   gesture_model_->fuse_for_inference(mode);
-  for (auto& model : user_models_) {
-    if (model != nullptr) model->fuse_for_inference(mode);
-  }
+  for (auto& model : user_models_) model->fuse_for_inference(mode);
 }
 
 void GesturePrintSystem::save(const std::string& path) {
@@ -274,11 +277,9 @@ void GesturePrintSystem::save(const std::string& path) {
     nn::save_quant_tables(buf, gesture_model_->collect_quant_tables());
     writer.write_u32(static_cast<std::uint32_t>(user_models_.size()));
     for (auto& model : user_models_) {
-      writer.write_u8(model != nullptr ? 1 : 0);
-      if (model != nullptr) {
-        nn::save_parameters(buf, full_state(*model));
-        nn::save_quant_tables(buf, model->collect_quant_tables());
-      }
+      writer.write_u8(1);  // slot flag: always set (load() rejects 0)
+      nn::save_parameters(buf, full_state(*model));
+      nn::save_quant_tables(buf, model->collect_quant_tables());
     }
   }
   const std::string blob = buf.str();
@@ -332,20 +333,26 @@ void GesturePrintSystem::load(const std::string& path) {
 
   GesIDNetConfig gnet = config_.network;
   gnet.num_classes = num_gestures_;
-  Rng ginit = rng_.fork();
-  gesture_model_ = std::make_unique<GesIDNet>(gnet, ginit);
+  gesture_model_ = std::make_unique<GesIDNet>(gnet, std::make_unique<Rng>(rng_.fork()));
   nn::load_parameters(in, full_state(*gesture_model_));
   gesture_model_->set_pending_quant_tables(nn::load_quant_tables(in));
 
   GesIDNetConfig unet = config_.network;
   unet.num_classes = num_users_;
   const std::uint32_t model_count = reader.read_u32();
+  if (model_count != (serialized ? num_gestures_ : 1)) {
+    throw SerializationError("system file has " + std::to_string(model_count) +
+                             " ID models; its mode needs " +
+                             std::to_string(serialized ? num_gestures_ : 1));
+  }
   user_models_.clear();
   user_models_.resize(model_count);
   for (std::uint32_t g = 0; g < model_count; ++g) {
-    if (reader.read_u8() == 0) continue;
-    Rng uinit = rng_.fork();
-    user_models_[g] = std::make_unique<GesIDNet>(unet, uinit);
+    // Every routing slot must hold a model (DESIGN.md §8.5).
+    if (reader.read_u8() == 0) {
+      throw SerializationError("system file lacks the ID model for slot " + std::to_string(g));
+    }
+    user_models_[g] = std::make_unique<GesIDNet>(unet, std::make_unique<Rng>(rng_.fork()));
     nn::load_parameters(in, full_state(*user_models_[g]));
     user_models_[g]->set_pending_quant_tables(nn::load_quant_tables(in));
   }
@@ -403,97 +410,109 @@ InferenceResult GesturePrintSystem::classify(const GestureCloud& cloud) {
     return refused;
   }
 
-  // Featurize `rounds` stochastic resamplings of the cloud once; average
-  // posteriors over them (test-time augmentation).
+  // Featurize `rounds` stochastic resamplings of the cloud once; decide()
+  // averages the posteriors over them (test-time augmentation).
   std::vector<FeaturizedSample> variants;
   variants.reserve(rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
     Rng feat_rng = rng_.fork();
     variants.push_back(featurize(cloud, config_.prep.features, feat_rng));
   }
-
-  InferenceResult result;
-  result.gesture_probabilities.assign(num_gestures_, 0.0);
-  {
-    const nn::Tensor probs = nn::softmax(predict_logits(*gesture_model_, variants));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (std::size_t c = 0; c < num_gestures_; ++c) {
-        result.gesture_probabilities[c] += probs.at(r, c) / static_cast<double>(rounds);
-      }
-    }
-  }
-  result.gesture = static_cast<int>(argmax(result.gesture_probabilities));
-  result.gesture_margin = top2_margin(result.gesture_probabilities);
-
-  // Confidence gate on the gesture head: an ambiguous posterior means the
-  // capture degraded past what the model can disambiguate. Abstaining here
-  // also skips user ID — serialized mode would route to the *wrong* ID
-  // model, which is worse than no answer.
-  if (should_abstain(result.gesture_probabilities, config_.abstain_margin)) {
+  const std::size_t row_begin[] = {0, rounds};
+  DecideScratch scratch;
+  mem::SlotVector<InferenceResult> decided;
+  decide(variants, row_begin, config_.abstain_margin, scratch, decided);
+  InferenceResult& result = decided[0];
+  if (result.gesture == kAbstain) {
     GP_COUNTER_ADD("gp.system.abstained.gesture", 1);
-    result.gesture = kAbstain;
-    result.user = kAbstain;
-    result.abstained = true;
-    return result;
+  } else if (result.user == kAbstain) {
+    GP_COUNTER_ADD("gp.system.abstained.user", 1);
   }
-
-  GesIDNet* id_model = nullptr;
-  if (config_.mode == IdentificationMode::kParallel) {
-    id_model = user_models_.front().get();
-  } else if (result.gesture >= 0 &&
-             static_cast<std::size_t>(result.gesture) < user_models_.size()) {
-    id_model = user_models_[static_cast<std::size_t>(result.gesture)].get();
-  }
-  if (id_model != nullptr) {
-    result.user_probabilities.assign(num_users_, 0.0);
-    const nn::Tensor probs = nn::softmax(predict_logits(*id_model, variants));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (std::size_t c = 0; c < num_users_; ++c) {
-        result.user_probabilities[c] += probs.at(r, c) / static_cast<double>(rounds);
-      }
-    }
-    result.user = static_cast<int>(argmax(result.user_probabilities));
-    result.user_margin = top2_margin(result.user_probabilities);
-    if (should_abstain(result.user_probabilities, config_.abstain_margin)) {
-      GP_COUNTER_ADD("gp.system.abstained.user", 1);
-      result.user = kAbstain;
-      result.abstained = true;
-    }
-  }
-  return result;
+  return std::move(result);
 }
 
-GesturePrintSystem::EmbeddingResult GesturePrintSystem::id_embedding(const GestureCloud& cloud) {
-  check(fitted(), "id_embedding before fit");
-  Rng feat_rng = rng_.fork();
-  std::vector<FeaturizedSample> one;
-  one.push_back(featurize(cloud, config_.prep.features, feat_rng));
-
-  EmbeddingResult result;
-  result.gesture = argmax_labels(predict_logits(*gesture_model_, one))[0];
-
-  GesIDNet* id_model = nullptr;
-  if (config_.mode == IdentificationMode::kParallel) {
-    id_model = user_models_.front().get();
-  } else if (result.gesture >= 0 &&
-             static_cast<std::size_t>(result.gesture) < user_models_.size() &&
-             user_models_[static_cast<std::size_t>(result.gesture)] != nullptr) {
-    id_model = user_models_[static_cast<std::size_t>(result.gesture)].get();
+void GesturePrintSystem::decide(std::span<const FeaturizedSample> rows,
+                                std::span<const std::size_t> row_begin, double abstain_margin,
+                                DecideScratch& scratch, mem::SlotVector<InferenceResult>& out) {
+  check(fitted(), "decide before fit");
+  check_arg(row_begin.size() >= 2 && row_begin.front() == 0 && row_begin.back() == rows.size(),
+            "decide: row_begin must run from 0 to rows.size()");
+  const std::size_t items = row_begin.size() - 1;
+  for (std::size_t i = 0; i < items; ++i) {
+    check_arg(row_begin[i] < row_begin[i + 1], "decide: every item needs at least one row");
   }
-  if (id_model == nullptr) {
-    for (auto& m : user_models_) {
-      if (m != nullptr) {
-        id_model = m.get();
-        break;
+
+  // One model pass over `model_rows`: softmax posteriors land in
+  // scratch.probs; the wall time is added to scratch.forward_ns.
+  const auto forward = [&](GesIDNet& model, std::span<const FeaturizedSample> model_rows) {
+    const std::uint64_t t0 = monotonic_ns();
+    predict_logits_into(model, model_rows, scratch.logits);
+    nn::softmax_into(scratch.logits, scratch.probs);
+    scratch.forward_ns += monotonic_ns() - t0;
+  };
+  // TTA average of softmax rows [begin, begin + count) in double, then the
+  // answer (argmax, or kAbstain under the margin gate) and its margin.
+  const auto average_and_gate = [&](std::size_t begin, std::size_t count,
+                                    std::vector<double>& posterior, int& answer,
+                                    double& margin) {
+    posterior.assign(scratch.probs.cols(), 0.0);
+    for (std::size_t r = begin; r < begin + count; ++r) {
+      for (std::size_t c = 0; c < posterior.size(); ++c) {
+        posterior[c] += scratch.probs.at(r, c) / static_cast<double>(count);
       }
     }
-  }
-  check(id_model != nullptr, "no user model available");
+    answer = static_cast<int>(argmax(posterior));
+    margin = top2_margin(posterior);
+    if (should_abstain(posterior, abstain_margin)) answer = kAbstain;
+  };
 
-  const GesIDNet::Features features = id_model->extract_features(make_batch(one, 0, 1));
-  result.embedding.assign(features.fused_low.row(0),
-                          features.fused_low.row(0) + features.fused_low.cols());
-  return result;
+  // Gesture pass over every row; survivors are grouped by routed ID model.
+  forward(*gesture_model_, rows);
+  const bool parallel = config_.mode == IdentificationMode::kParallel;
+  std::vector<std::vector<std::size_t>>& by_model = scratch.by_model;
+  if (by_model.size() < user_models_.size()) by_model.resize(user_models_.size());
+  for (auto& members : by_model) members.clear();
+  out.clear();
+  for (std::size_t i = 0; i < items; ++i) {
+    // Recycled slot: reset field by field so the posterior buffers keep
+    // their capacity.
+    InferenceResult& r = out.emplace_back();
+    r.user = -1;
+    r.abstained = false;
+    r.user_margin = 1.0;
+    r.user_probabilities.clear();
+    average_and_gate(row_begin[i], row_begin[i + 1] - row_begin[i], r.gesture_probabilities,
+                     r.gesture, r.gesture_margin);
+    if (r.gesture == kAbstain) {
+      // An ambiguous gesture would route to the wrong ID model in serialized
+      // mode, which is worse than no answer: abstain on both heads.
+      r.user = kAbstain;
+      r.abstained = true;
+      continue;
+    }
+    by_model[parallel ? 0 : static_cast<std::size_t>(r.gesture)].push_back(i);
+  }
+
+  // One batched pass per routed ID model, in ascending model index.
+  for (std::size_t m = 0; m < user_models_.size(); ++m) {
+    const std::vector<std::size_t>& members = by_model[m];
+    if (members.empty()) continue;
+    scratch.group_rows.clear();
+    for (const std::size_t i : members) {
+      for (std::size_t row = row_begin[i]; row < row_begin[i + 1]; ++row) {
+        scratch.group_rows.emplace_back() = rows[row];
+      }
+    }
+    forward(*user_models_[m], scratch.group_rows.span());
+    std::size_t begin = 0;  // members' rows sit back to back in group_rows
+    for (const std::size_t i : members) {
+      const std::size_t count = row_begin[i + 1] - row_begin[i];
+      InferenceResult& r = out[i];
+      average_and_gate(begin, count, r.user_probabilities, r.user, r.user_margin);
+      if (r.user == kAbstain) r.abstained = true;
+      begin += count;
+    }
+  }
 }
 
 SystemEvaluation GesturePrintSystem::evaluate(const Dataset& dataset,
@@ -521,92 +540,56 @@ SystemEvaluation GesturePrintSystem::evaluate_samples(
   check_arg(!samples.empty(), "evaluate with no samples");
 
   // Featurize `eval_rounds` stochastic resamplings per sample (test-time
-  // augmentation; no positional jitter) and average the posteriors.
+  // augmentation; no positional jitter). Draws stay round-major; sample i's
+  // variants are rows [i*rounds, (i+1)*rounds).
   const std::size_t rounds = std::max<std::size_t>(1, config_.eval_rounds);
-  std::vector<std::vector<FeaturizedSample>> round_features(rounds);
-  std::vector<int> truth_gesture;
-  std::vector<int> truth_user;
-  for (const GestureSample* s : samples) {
-    truth_gesture.push_back(s->gesture);
-    truth_user.push_back(s->user);
-  }
+  const std::size_t n = samples.size();
+  std::vector<FeaturizedSample> rows(n * rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
     Rng feat_rng = rng_.fork();
-    round_features[r].reserve(samples.size());
-    for (const GestureSample* s : samples) {
-      round_features[r].push_back(featurize(s->cloud, config_.prep.features, feat_rng));
+    for (std::size_t i = 0; i < n; ++i) {
+      rows[i * rounds + r] = featurize(samples[i]->cloud, config_.prep.features, feat_rng);
+    }
+  }
+  // The served rule, without abstention: the paper's GRA/UIA score every
+  // sample. decide() runs on chunks of at most one inference batch of rows
+  // (predict_logits' default 64): the unfused models keep their last batch's
+  // activations, so wider passes would only raise peak memory — decide() is
+  // row-local, so chunking cannot change an answer.
+  const std::size_t chunk = std::max<std::size_t>(1, 64 / rounds);
+  std::vector<int> truth_gesture(n), truth_user(n), gpred(n), upred(n);
+  nn::Tensor gprobs(n, num_gestures_);
+  nn::Tensor uprobs(n, num_users_);
+  DecideScratch scratch;
+  mem::SlotVector<InferenceResult> decided;
+  std::vector<std::size_t> row_begin;
+  for (std::size_t first = 0; first < n; first += chunk) {
+    const std::size_t count = std::min(chunk, n - first);
+    row_begin.clear();
+    for (std::size_t k = 0; k <= count; ++k) row_begin.push_back(k * rounds);
+    decide(std::span<const FeaturizedSample>(rows).subspan(first * rounds, count * rounds),
+           row_begin, /*abstain_margin=*/0.0, scratch, decided);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t i = first + k;
+      const InferenceResult& d = decided[k];
+      truth_gesture[i] = samples[i]->gesture;
+      truth_user[i] = samples[i]->user;
+      gpred[i] = d.gesture;
+      upred[i] = d.user;
+      for (std::size_t c = 0; c < num_gestures_; ++c) {
+        gprobs.at(i, c) = static_cast<float>(d.gesture_probabilities[c]);
+      }
+      for (std::size_t c = 0; c < num_users_; ++c) {
+        uprobs.at(i, c) = static_cast<float>(d.user_probabilities[c]);
+      }
     }
   }
 
   SystemEvaluation eval;
-
-  // ---- gesture recognition ----
-  nn::Tensor gprobs(samples.size(), num_gestures_);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const nn::Tensor probs = nn::softmax(predict_logits(*gesture_model_, round_features[r]));
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      for (std::size_t c = 0; c < num_gestures_; ++c) {
-        gprobs.at(i, c) += probs.at(i, c) / static_cast<float>(rounds);
-      }
-    }
-  }
-  const std::vector<int> gpred = argmax_labels(gprobs);
   eval.gesture_confusion = build_confusion(truth_gesture, gpred, num_gestures_);
   eval.gra = eval.gesture_confusion.accuracy();
   eval.grf1 = eval.gesture_confusion.macro_f1();
   eval.grauc = macro_auc(gprobs, truth_gesture);
-
-  // ---- user identification ----
-  nn::Tensor uprobs(samples.size(), num_users_);
-
-  if (config_.mode == IdentificationMode::kParallel) {
-    for (std::size_t r = 0; r < rounds; ++r) {
-      const nn::Tensor probs =
-          nn::softmax(predict_logits(*user_models_.front(), round_features[r]));
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        for (std::size_t c = 0; c < num_users_; ++c) {
-          uprobs.at(i, c) += probs.at(i, c) / static_cast<float>(rounds);
-        }
-      }
-    }
-  } else {
-    // Serialized: route each test sample to the ID model its *predicted*
-    // gesture selects (the runtime behaviour).
-    for (std::size_t g = 0; g < num_gestures_; ++g) {
-      std::vector<std::size_t> routed;
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        if (gpred[i] == static_cast<int>(g)) routed.push_back(i);
-      }
-      if (routed.empty()) continue;
-      GesIDNet* model = user_models_[g] != nullptr
-                            ? user_models_[g].get()
-                            : nullptr;
-      if (model == nullptr) {
-        // Gesture had no training data: fall back to any available model.
-        for (auto& m : user_models_) {
-          if (m != nullptr) {
-            model = m.get();
-            break;
-          }
-        }
-      }
-      check(model != nullptr, "no user model available");
-
-      for (std::size_t r = 0; r < rounds; ++r) {
-        std::vector<FeaturizedSample> routed_features;
-        routed_features.reserve(routed.size());
-        for (std::size_t i : routed) routed_features.push_back(round_features[r][i]);
-        const nn::Tensor probs = nn::softmax(predict_logits(*model, routed_features));
-        for (std::size_t k = 0; k < routed.size(); ++k) {
-          for (std::size_t c = 0; c < num_users_; ++c) {
-            uprobs.at(routed[k], c) += probs.at(k, c) / static_cast<float>(rounds);
-          }
-        }
-      }
-    }
-  }
-  const std::vector<int> upred = argmax_labels(uprobs);
-
   eval.user_confusion = build_confusion(truth_user, upred, num_users_);
   eval.uia = eval.user_confusion.accuracy();
   eval.uif1 = eval.user_confusion.macro_f1();

@@ -6,12 +6,18 @@
 //  * serialized (default): one user-ID model per gesture; at runtime the
 //    recognised gesture selects which ID model scores the cloud.
 //  * parallel: a single user-ID model trained across all gestures.
+//
+// One rule turns posteriors into answers (DESIGN.md §8.5): decide() is the
+// only place that averages TTA posteriors, applies the margin gates and
+// routes to an ID model. classify(), evaluate() and the serve flush call it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 
+#include "common/mem.hpp"
 #include "datasets/prep.hpp"
 #include "eval/metrics.hpp"
 #include "eval/roc.hpp"
@@ -55,7 +61,7 @@ struct GesturePrintConfig {
   double abstain_margin = 0.0;
 };
 
-/// Result of classifying one gesture sample.
+/// Result of classifying one gesture sample (one decide() item).
 struct InferenceResult {
   int gesture = -1;             ///< class id, or kAbstain
   int user = -1;                ///< class id, or kAbstain
@@ -64,6 +70,18 @@ struct InferenceResult {
   bool abstained = false;       ///< any gate fired (margin or quality)
   double gesture_margin = 1.0;  ///< top-1 minus top-2 gesture posterior
   double user_margin = 1.0;     ///< top-1 minus top-2 user posterior
+};
+
+/// Working set of GesturePrintSystem::decide(), reused across calls: every
+/// buffer keeps its capacity, so a warm caller allocates nothing.
+struct DecideScratch {
+  nn::Tensor logits;
+  nn::Tensor probs;
+  std::vector<std::vector<std::size_t>> by_model;  ///< routed items per ID model
+  mem::SlotVector<FeaturizedSample> group_rows;    ///< one ID model's rows
+  /// Wall time of decide()'s model passes (forward + softmax), *added* by
+  /// every call; the caller zeroes it when it wants a fresh figure.
+  std::uint64_t forward_ns = 0;
 };
 
 /// Aggregate evaluation metrics matching Table II's columns.
@@ -84,6 +102,8 @@ class GesturePrintSystem {
   explicit GesturePrintSystem(GesturePrintConfig config = {});
 
   /// Trains recognition + identification models on the selected samples.
+  /// Serialized mode needs at least one sample of every gesture (each
+  /// gesture gets its own ID model); throws InvalidArgument otherwise.
   void fit(const Dataset& dataset, std::span<const std::size_t> train_indices);
 
   /// Continues training the already-fitted models on additional samples —
@@ -113,7 +133,8 @@ class GesturePrintSystem {
   void save(const std::string& path);
   /// Restores a system saved with save(); the network configuration must
   /// match the one this system was constructed with. Throws
-  /// SerializationError on checksum mismatch or malformed content.
+  /// SerializationError on checksum mismatch or malformed content,
+  /// including a file that lacks an ID model for some routing slot.
   void load(const std::string& path);
   /// Self-healing load (DESIGN.md §7): retries transient IO errors with
   /// backoff; on a corrupt file, quarantines it aside (".quarantine"
@@ -123,17 +144,25 @@ class GesturePrintSystem {
   /// failure.
   bool try_load(const std::string& path);
 
-  /// Classifies one preprocessed gesture cloud (runtime path).
+  /// Classifies one preprocessed gesture cloud (runtime path): featurizes
+  /// eval_rounds variants and decides them as a batch of one.
   InferenceResult classify(const GestureCloud& cloud);
 
-  /// The fused identification embedding of a cloud (the Y^l1 feature of the
-  /// ID model the recognised gesture routes to), plus the recognised
-  /// gesture. Open-set rejection scores novelty in this space.
-  struct EmbeddingResult {
-    int gesture = -1;
-    std::vector<float> embedding;
-  };
-  EmbeddingResult id_embedding(const GestureCloud& cloud);
+  /// The decision rule (DESIGN.md §8.5) over N items, where item i owns the
+  /// featurized variant rows [row_begin[i], row_begin[i+1]) (row_begin has
+  /// N+1 entries, the last equal to rows.size(); every item needs >= 1 row).
+  /// One gesture forward covers every row; each item's softmax rows are
+  /// averaged in double. Items whose top-2 gesture margin falls below
+  /// `abstain_margin` abstain on both heads; the rest are grouped by routed
+  /// ID model (the recognised gesture's in serialized mode, the shared one
+  /// in parallel mode), which runs one forward per group; the averaged user
+  /// posterior is gated the same way. Answers are row-local, so an item's
+  /// result does not depend on the other items in the batch. `out` is
+  /// refilled with N results; its slots (and their posterior buffers) are
+  /// recycled.
+  void decide(std::span<const FeaturizedSample> rows, std::span<const std::size_t> row_begin,
+              double abstain_margin, DecideScratch& scratch,
+              mem::SlotVector<InferenceResult>& out);
 
   /// Batch evaluation over the selected test samples.
   SystemEvaluation evaluate(const Dataset& dataset, std::span<const std::size_t> test_indices);
@@ -149,8 +178,8 @@ class GesturePrintSystem {
   const GesturePrintConfig& config() const { return config_; }
 
   /// Serve-layer accessors: the user-ID model routed to for gesture `g`
-  /// (serialized mode; index 0 in parallel mode). nullptr when that gesture
-  /// had no training data or `g` is out of range.
+  /// (serialized mode; index 0 in parallel mode). A fitted or loaded
+  /// system has every slot filled; nullptr only when `g` is out of range.
   std::size_t num_user_models() const { return user_models_.size(); }
   GesIDNet* user_model(std::size_t g) {
     return g < user_models_.size() ? user_models_[g].get() : nullptr;
@@ -175,6 +204,7 @@ class GesturePrintSystem {
   Rng rng_;
   std::unique_ptr<GesIDNet> gesture_model_;
   /// Serialized mode: index = gesture id; parallel mode: single entry.
+  /// Never holds nullptr once fitted (fit() and load() enforce it).
   std::vector<std::unique_ptr<GesIDNet>> user_models_;
 };
 

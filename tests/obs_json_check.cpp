@@ -3,7 +3,7 @@
 //   obs_json_check REPORT_x.json [TRACE_x.json]
 //
 // Checks, using the in-tree JSON parser (no external deps):
-//   * the report parses, carries name/wall_clock_s/stages/metrics, and the
+//   * the report parses, carries name/wall_clock_s/host/stages/metrics, and the
 //     top-level stages (min_depth == 0) account for the wall clock within
 //     10% — the "stage latencies sum to the run" invariant;
 //   * the trace parses as Chrome trace-event JSON: a traceEvents array of
@@ -45,6 +45,11 @@ void check_report(const std::string& path) {
   if (!doc.at("name").is_string()) fail("report.name is not a string");
   if (!doc.at("wall_clock_s").is_number()) fail("report.wall_clock_s is not a number");
   if (!doc.at("metrics").is_object()) fail("report.metrics is not an object");
+  const Value& host = doc.at("host");
+  if (!host.is_object()) fail("report.host is not an object");
+  if (host.at("hardware_concurrency").num < 1.0) fail("report.host.hardware_concurrency < 1");
+  if (!host.at("isa").is_string()) fail("report.host.isa is not a string");
+  if (!host.at("gp_threads").is_string()) fail("report.host.gp_threads is not a string");
 
   const Value& stages = doc.at("stages");
   if (!stages.is_array()) fail("report.stages is not an array");

@@ -403,7 +403,8 @@ TEST(Loss, SoftmaxRowsSumToOne) {
   Rng rng(8);
   Tensor logits(6, 4);
   logits.randn(rng, 3.0);
-  const Tensor p = softmax(logits);
+  Tensor p;
+  softmax_into(logits, p);
   for (std::size_t i = 0; i < 6; ++i) {
     double sum = 0.0;
     for (std::size_t c = 0; c < 4; ++c) {

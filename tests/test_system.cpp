@@ -111,6 +111,77 @@ TEST(System, CrossDatasetEvaluationRuns) {
   EXPECT_GT(eval.gra, 0.5);
 }
 
+// The decision core is row-local: deciding N items in one batch gives each
+// item exactly (bitwise) what deciding it alone gives — the property that
+// lets classify() (a batch of one), evaluate() and the serve flush share it.
+TEST(System, DecideBatchEqualsSingleItemCalls) {
+  const Dataset dataset = small_dataset(1, 3, 3, 6);
+  const Split split = split_by_pair(dataset);
+  for (const IdentificationMode mode :
+       {IdentificationMode::kSerialized, IdentificationMode::kParallel}) {
+    GesturePrintConfig config = quick_config();
+    config.training.epochs = 3;
+    config.mode = mode;
+    GesturePrintSystem system(config);
+    system.fit(dataset, split.train);
+
+    // Items with mixed variant counts (1-3 rows each).
+    std::vector<FeaturizedSample> rows;
+    std::vector<std::size_t> row_begin{0};
+    Rng feat_rng(41, 3);
+    for (std::size_t i = 0; i < 7; ++i) {
+      const GestureCloud& cloud = dataset.samples[split.test[i % split.test.size()]].cloud;
+      for (std::size_t r = 0; r < 1 + i % 3; ++r) {
+        rows.push_back(featurize(cloud, config.prep.features, feat_rng));
+      }
+      row_begin.push_back(rows.size());
+    }
+
+    for (const double margin : {0.0, 0.1}) {
+      DecideScratch scratch;
+      mem::SlotVector<InferenceResult> batched;
+      system.decide(rows, row_begin, margin, scratch, batched);
+      ASSERT_EQ(batched.size(), row_begin.size() - 1);
+      EXPECT_GT(scratch.forward_ns, 0u);
+      for (std::size_t i = 0; i + 1 < row_begin.size(); ++i) {
+        const std::span<const FeaturizedSample> own(rows.data() + row_begin[i],
+                                                    row_begin[i + 1] - row_begin[i]);
+        const std::size_t one[] = {0, own.size()};
+        mem::SlotVector<InferenceResult> single;
+        system.decide(own, one, margin, scratch, single);
+        ASSERT_EQ(single.size(), 1u);
+        const InferenceResult& a = batched[i];
+        const InferenceResult& b = single[0];
+        EXPECT_EQ(a.gesture, b.gesture) << "item " << i;
+        EXPECT_EQ(a.user, b.user) << "item " << i;
+        EXPECT_EQ(a.abstained, b.abstained) << "item " << i;
+        EXPECT_EQ(a.gesture_margin, b.gesture_margin) << "item " << i;  // bitwise
+        EXPECT_EQ(a.user_margin, b.user_margin) << "item " << i;
+        EXPECT_EQ(a.gesture_probabilities, b.gesture_probabilities) << "item " << i;
+        EXPECT_EQ(a.user_probabilities, b.user_probabilities) << "item " << i;
+        if (margin == 0.0) {
+          EXPECT_GE(a.gesture, 0);
+          EXPECT_GE(a.user, 0);  // every gesture routes to an ID model
+        }
+      }
+    }
+  }
+}
+
+// Serialized mode gives every gesture its own ID model, so a training set
+// without some gesture cannot be fitted (there is no fallback model).
+TEST(System, SerializedFitRejectsMissingGesture) {
+  const Dataset dataset = small_dataset(1, 3, 3, 4);
+  std::vector<std::size_t> without_gesture_1;
+  for (std::size_t i = 0; i < dataset.samples.size(); ++i) {
+    if (dataset.samples[i].gesture != 1) without_gesture_1.push_back(i);
+  }
+  GesturePrintConfig config = quick_config();
+  config.training.epochs = 1;
+  GesturePrintSystem system(config);
+  EXPECT_THROW(system.fit(dataset, without_gesture_1), InvalidArgument);
+}
+
 TEST(MultiPerson, MergeScenesCombinesReflectors) {
   SceneSequence a(3);
   SceneSequence b(2);

@@ -5,9 +5,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
+#include "common/fnv.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
+#include "nn/quant.hpp"
+#include "nn/serialize_nn.hpp"
 #include "system/cross_validate.hpp"
 #include "system/gestureprint.hpp"
 #include "system/open_set.hpp"
@@ -181,6 +185,48 @@ TEST(Persistence, LoadRejectsModeMismatch) {
   parallel_config.mode = IdentificationMode::kParallel;
   GesturePrintSystem parallel(parallel_config);
   EXPECT_THROW(parallel.load(path), SerializationError);
+  std::filesystem::remove(path);
+}
+
+// Every routing slot of a system file must hold an ID model: a file whose
+// last slot flag is cleared (checksum recomputed, so only the flag is
+// wrong) is malformed, not a system with a missing model.
+TEST(Persistence, LoadRejectsEmptyIdModelSlot) {
+  const Dataset dataset = make_dataset(3, 2, 8);
+  GesturePrintConfig config = quick_config(2);
+  GesturePrintSystem system(config);
+  system.fit(dataset, split_by_pair(dataset).train);
+  const std::string path = testing::TempDir() + "gp_system_slot.bin";
+  system.save(path);
+
+  std::string blob;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    blob = buf.str();
+  }
+  // The last slot is its flag byte followed by that model's parameters and
+  // quant tables, right before the 8-byte checksum trailer.
+  GesIDNet& last = *system.user_model(system.num_user_models() - 1);
+  std::ostringstream slot(std::ios::binary);
+  std::vector<nn::Parameter*> state = last.parameters();
+  for (nn::Parameter* b : last.buffers()) state.push_back(b);
+  nn::save_parameters(slot, state);
+  nn::save_quant_tables(slot, last.collect_quant_tables());
+  const std::size_t flag_at = blob.size() - 8 - slot.str().size() - 1;
+  ASSERT_EQ(blob[flag_at], 1);
+  blob[flag_at] = 0;
+  blob.resize(blob.size() - 8);
+  const std::uint64_t digest = fnv::hash_string(blob);
+  for (int i = 0; i < 8; ++i) blob.push_back(static_cast<char>((digest >> (8 * i)) & 0xFF));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+
+  GesturePrintSystem restored(config);
+  EXPECT_THROW(restored.load(path), SerializationError);
   std::filesystem::remove(path);
 }
 
