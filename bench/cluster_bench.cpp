@@ -2,7 +2,7 @@
 // session streams served by 1, 2 and 3 forked worker replicas, then a
 // kill-and-recover scenario that SIGKILLs one worker mid-stream and lets the
 // supervisor migrate its sessions onto survivors. Emits
-// <output_dir>/BENCH_cluster.json and self-checks the two headline
+// <output_dir>/BENCH_cluster.jsonl and self-checks the two headline
 // invariants on the exit code:
 //   1. per-session results are bitwise identical across worker counts —
 //      distribution is a deployment knob, never a numerics knob;
@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,7 +24,7 @@
 #include "common/config.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
-#include "obs/bench_json.hpp"
+#include "obs/report.hpp"
 #include "system/gestureprint.hpp"
 
 namespace {
@@ -141,30 +140,34 @@ int main() {
   };
 
   bool ok = true;
+  std::vector<obs::BenchRecord> records;
+  const auto count = [&](const std::string& case_name, const char* metric, std::uint64_t v) {
+    records.push_back({case_name, metric, "count", static_cast<double>(v)});
+  };
+  const std::string sessions = " sessions=" + std::to_string(kSessions.size());
 
   // ---- worker-count sweep: distribution must not change a single bit ----
   const std::vector<std::size_t> workers_swept{1, 2, 3};
-  std::vector<obs::ClusterSweepCell> cells;
   std::vector<serve::ServeResult> reference;
   for (const std::size_t workers : workers_swept) {
     cluster::Cluster c(base_config(workers));
     const RunOutcome outcome = run_cluster(c, streams);
     if (workers == 1) reference = outcome.results;
-    obs::ClusterSweepCell cell;
-    cell.workers = workers;
-    cell.frames = outcome.stats.frames_accepted;
-    cell.results = outcome.stats.results;
-    cell.rpc_calls = outcome.stats.rpc_calls;
-    cell.rpc_attempts = outcome.stats.rpc_attempts;
-    cell.checkpoints = outcome.stats.checkpoints;
-    cell.ms = outcome.ms;
-    cell.bitwise_vs_single = results_bitwise_equal(outcome.results, reference);
-    cells.push_back(cell);
-    std::cout << "  workers=" << workers << ": " << cell.results << " results in "
-              << cell.ms << " ms (" << cell.rpc_attempts << " wire attempts / "
-              << cell.rpc_calls << " RPCs, " << cell.checkpoints << " checkpoints), "
-              << (cell.bitwise_vs_single ? "bitwise == 1-worker" : "DIVERGED") << "\n";
-    if (!cell.bitwise_vs_single || !outcome.pushes_ok) ok = false;
+    const cluster::Cluster::Stats& st = outcome.stats;
+    const bool bitwise = results_bitwise_equal(outcome.results, reference);
+    std::cout << "  workers=" << workers << ": " << st.results << " results in " << outcome.ms
+              << " ms (" << st.rpc_attempts << " wire attempts / " << st.rpc_calls
+              << " RPCs, " << st.checkpoints << " checkpoints), "
+              << (bitwise ? "bitwise == 1-worker" : "DIVERGED") << "\n";
+    const std::string case_name = "workers=" + std::to_string(workers) + sessions;
+    count(case_name, "frames", st.frames_accepted);
+    count(case_name, "results", st.results);
+    count(case_name, "rpc_calls", st.rpc_calls);
+    count(case_name, "rpc_attempts", st.rpc_attempts);
+    count(case_name, "checkpoints", st.checkpoints);
+    records.push_back({case_name, "wall", "ms", outcome.ms});
+    records.push_back({case_name, "bitwise_vs_single", "bool", bitwise ? 1.0 : 0.0});
+    if (!bitwise || !outcome.pushes_ok) ok = false;
     if (outcome.stats.workers_evicted != 0) {
       std::cout << "FAIL: fault-free sweep evicted a worker\n";
       ok = false;
@@ -174,40 +177,38 @@ int main() {
   // ---- kill-and-recover: SIGKILL one worker mid-stream -------------------
   std::size_t max_frames = 0;
   for (const auto& s : streams) max_frames = std::max(max_frames, s.frames.size());
-  obs::ClusterFailoverSummary failover;
   {
     cluster::Cluster c(base_config(2));
     const RunOutcome outcome = run_cluster(c, streams, max_frames / 2);
-    failover.measured = true;
-    failover.workers = 2;
-    failover.evictions = outcome.stats.workers_evicted;
-    failover.migrations = outcome.stats.sessions_migrated;
-    failover.respawns = outcome.stats.workers_respawned;
-    failover.results = outcome.stats.results;
-    failover.shed = outcome.stats.frames_shed_no_worker;
-    failover.ms = outcome.ms;
-    failover.bitwise_identical = results_bitwise_equal(outcome.results, reference);
+    const cluster::Cluster::Stats& st = outcome.stats;
+    const bool bitwise = results_bitwise_equal(outcome.results, reference);
     std::cout << "  failover(workers=2, kill@" << max_frames / 2
-              << "): " << failover.evictions << " evicted, " << failover.migrations
-              << " sessions migrated, " << failover.respawns << " respawned, "
-              << failover.shed << " shed, "
-              << (failover.bitwise_identical ? "bitwise == undisturbed" : "DIVERGED")
-              << "\n";
-    if (!failover.bitwise_identical || !outcome.pushes_ok) ok = false;
-    if (failover.evictions < 1 || failover.migrations < 1 || failover.respawns < 1) {
+              << "): " << st.workers_evicted << " evicted, " << st.sessions_migrated
+              << " sessions migrated, " << st.workers_respawned << " respawned, "
+              << st.frames_shed_no_worker << " shed, "
+              << (bitwise ? "bitwise == undisturbed" : "DIVERGED") << "\n";
+    const std::string case_name =
+        "scenario=failover workers=2 kill_at=" + std::to_string(max_frames / 2) + sessions;
+    count(case_name, "evictions", st.workers_evicted);
+    count(case_name, "migrations", st.sessions_migrated);
+    count(case_name, "respawns", st.workers_respawned);
+    count(case_name, "results", st.results);
+    count(case_name, "shed", st.frames_shed_no_worker);
+    records.push_back({case_name, "wall", "ms", outcome.ms});
+    records.push_back({case_name, "bitwise_identical", "bool", bitwise ? 1.0 : 0.0});
+    if (!bitwise || !outcome.pushes_ok) ok = false;
+    if (st.workers_evicted < 1 || st.sessions_migrated < 1 || st.workers_respawned < 1) {
       std::cout << "FAIL: the kill scenario exercised no failover\n";
       ok = false;
     }
-    if (failover.shed != 0) {
-      std::cout << "FAIL: failover shed " << failover.shed << " frames\n";
+    if (st.frames_shed_no_worker != 0) {
+      std::cout << "FAIL: failover shed " << st.frames_shed_no_worker << " frames\n";
       ok = false;
     }
   }
 
-  const std::string json =
-      obs::cluster_bench_json(kSessions.size(), workers_swept, cells, failover);
-  const std::string path = output_dir() + "/BENCH_cluster.json";
-  std::ofstream(path) << json;
+  const std::string path = output_dir() + "/BENCH_cluster.jsonl";
+  obs::write_bench_records(path, "cluster", records);
   std::cout << "\nWrote " << path << "\n";
   std::cout << (ok ? "Cluster crash-tolerance invariants hold.\n"
                    : "Invariants VIOLATED.\n");

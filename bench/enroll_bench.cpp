@@ -2,7 +2,7 @@
 // after enrollment, plus the live serve-path story — an unknown performer's
 // segments are novelty-rejected, buffered into a candidate, head-only
 // fine-tuned into a widened user head, and hot-swap published with zero
-// dropped results. Emits <output_dir>/BENCH_enroll.json and self-checks the
+// dropped results. Emits <output_dir>/BENCH_enroll.jsonl and self-checks the
 // headline invariants on the exit code:
 //   1. the swap is lossless: the enrollment run produces exactly as many
 //      results as an enrollment-free reference run of the same streams;
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,8 +21,8 @@
 #include "datasets/catalog.hpp"
 #include "enroll/enroll.hpp"
 #include "eval/splits.hpp"
-#include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "serve/server.hpp"
 #include "system/gestureprint.hpp"
 #include "system/open_set.hpp"
@@ -82,11 +81,21 @@ double accept_rate(const BiometricGallery& gallery, const std::vector<double>& s
   return static_cast<double>(accepted) / static_cast<double>(scores.size());
 }
 
-obs::EnrollOpenSetRow open_set_row(const std::string& phase, const BiometricGallery& gallery,
-                                   const Dataset& enrolled_test,
-                                   const std::vector<std::size_t>& test_idx,
-                                   const Dataset& newcomer_heldout,
-                                   const Dataset& stranger) {
+/// One open-set operating point: the same newcomer-vs-enrolled separation
+/// measured before and after the enrollment pipeline ran. `newcomer_reject`
+/// is the fraction of newcomer segments the gate still rejects at the
+/// calibrated threshold.
+struct OpenSetRow {
+  std::string phase;  ///< "before" | "after"
+  double eer = 0.0;
+  double threshold = 0.0;
+  double genuine_accept = 0.0;
+  double newcomer_reject = 0.0;
+};
+
+OpenSetRow open_set_row(const std::string& phase, const BiometricGallery& gallery,
+                        const Dataset& enrolled_test, const std::vector<std::size_t>& test_idx,
+                        const Dataset& newcomer_heldout, const Dataset& stranger) {
   const std::vector<double> genuine_enrolled =
       novelty_scores(gallery, enrolled_test, test_idx);
   const std::vector<double> genuine_newcomer = novelty_scores(gallery, newcomer_heldout, {});
@@ -94,7 +103,7 @@ obs::EnrollOpenSetRow open_set_row(const std::string& phase, const BiometricGall
   std::vector<double> genuine = genuine_enrolled;
   genuine.insert(genuine.end(), genuine_newcomer.begin(), genuine_newcomer.end());
 
-  obs::EnrollOpenSetRow row;
+  OpenSetRow row;
   row.phase = phase;
   // The EER enrollment targets: can novelty scoring separate the (to-be-)
   // enrolled newcomer from people who stay strangers? Before enrollment both
@@ -192,7 +201,7 @@ int main() {
   enroll::EnrollmentService service(ec, registry);
   service.calibrate(dataset, split.train);
 
-  std::vector<obs::EnrollOpenSetRow> rows;
+  std::vector<OpenSetRow> rows;
   rows.push_back(
       open_set_row("before", service.gallery(), dataset, split.test, newcomer_heldout,
                    stranger));
@@ -239,47 +248,61 @@ int main() {
   const std::vector<serve::ServeResult> results = run(&service, sc, &ticks);
 
   const enroll::EnrollmentService::Stats stats = service.stats();
-  obs::EnrollServeSummary serve_summary;
-  serve_summary.ticks = ticks;
-  serve_summary.results = results.size();
-  serve_summary.expected_results = expected;
-  serve_summary.novelty_rejections = stats.novelty_rejections;
-  serve_summary.candidates_founded = delta.counter_delta("gp.enroll.candidates.founded");
-  serve_summary.fine_tunes = stats.fine_tunes_started;
-  serve_summary.users_enrolled = stats.users_enrolled;
-  serve_summary.published_version = registry.version();
-  std::cout << "  serve: " << serve_summary.results << "/" << serve_summary.expected_results
-            << " results over " << serve_summary.ticks << " ticks, "
-            << serve_summary.novelty_rejections << " novelty rejections, "
-            << serve_summary.fine_tunes << " fine-tunes, " << serve_summary.users_enrolled
-            << " users enrolled (registry v" << serve_summary.published_version << ")\n";
+  const std::uint64_t published_version = registry.version();
+  std::cout << "  serve: " << results.size() << "/" << expected << " results over " << ticks
+            << " ticks, " << stats.novelty_rejections << " novelty rejections, "
+            << stats.fine_tunes_started << " fine-tunes, " << stats.users_enrolled
+            << " users enrolled (registry v" << published_version << ")\n";
 
   rows.push_back(open_set_row("after", service.gallery(), dataset, split.test,
                               newcomer_heldout, stranger));
 
+  // Enrollment-to-live latency: first rejected segment staged -> widened
+  // head published.
   const obs::HistogramSnapshot to_live = obs::histogram("gp.enroll.to_live_ms").snapshot();
-  obs::EnrollLatencySummary latency;
-  latency.count = to_live.count;
-  latency.p50_ms = to_live.quantile(0.5);
-  latency.p95_ms = to_live.quantile(0.95);
-  latency.p99_ms = to_live.quantile(0.99);
-  std::cout << "  enrollment-to-live: p50=" << latency.p50_ms << " ms p95=" << latency.p95_ms
-            << " ms (" << latency.count << " enrollments)\n";
+  std::cout << "  enrollment-to-live: p50=" << to_live.quantile(0.5)
+            << " ms p95=" << to_live.quantile(0.95) << " ms (" << to_live.count
+            << " enrollments)\n";
 
-  const std::string json = obs::enroll_bench_json(sc.enroll.k_segments,
-                                                  sc.enroll.max_candidates, rows,
-                                                  serve_summary, latency);
-  const std::string path = output_dir() + "/BENCH_enroll.json";
-  std::ofstream(path) << json;
+  const std::string setup = " k_segments=" + std::to_string(sc.enroll.k_segments) +
+                            " max_candidates=" + std::to_string(sc.enroll.max_candidates);
+  std::vector<obs::BenchRecord> records;
+  for (const OpenSetRow& row : rows) {
+    // eer: newcomer-vs-stranger novelty EER; near chance before enrollment
+    // (both unseen), enrollment pulls it down.
+    const std::string case_name = "phase=" + row.phase + setup;
+    records.push_back({case_name, "eer", "fraction", row.eer});
+    records.push_back({case_name, "threshold", "score", row.threshold});
+    records.push_back({case_name, "genuine_accept", "fraction", row.genuine_accept});
+    records.push_back({case_name, "newcomer_reject", "fraction", row.newcomer_reject});
+  }
+  const std::string serve_case = "phase=serve sessions=" + std::to_string(streams.size()) + setup;
+  const auto count = [&](const char* metric, std::uint64_t v) {
+    records.push_back({serve_case, metric, "count", static_cast<double>(v)});
+  };
+  count("ticks", ticks);
+  count("results", results.size());
+  count("expected_results", expected);  // zero-dropped-ticks evidence
+  count("novelty_rejections", stats.novelty_rejections);
+  count("candidates_founded", delta.counter_delta("gp.enroll.candidates.founded"));
+  count("fine_tunes", stats.fine_tunes_started);
+  count("users_enrolled", stats.users_enrolled);
+  count("published_version", published_version);
+  count("to_live_count", to_live.count);
+  records.push_back({serve_case, "to_live_p50", "ms", to_live.quantile(0.5)});
+  records.push_back({serve_case, "to_live_p95", "ms", to_live.quantile(0.95)});
+  records.push_back({serve_case, "to_live_p99", "ms", to_live.quantile(0.99)});
+  const std::string path = output_dir() + "/BENCH_enroll.jsonl";
+  obs::write_bench_records(path, "enroll", records);
   std::cout << "\nWrote " << path << "\n";
 
   bool ok = true;
-  if (serve_summary.results != serve_summary.expected_results) {
-    std::cout << "FAIL: enrollment run dropped results (" << serve_summary.results << " vs "
-              << serve_summary.expected_results << ")\n";
+  if (results.size() != expected) {
+    std::cout << "FAIL: enrollment run dropped results (" << results.size() << " vs "
+              << expected << ")\n";
     ok = false;
   }
-  if (serve_summary.users_enrolled < 1 || serve_summary.published_version < 2) {
+  if (stats.users_enrolled < 1 || published_version < 2) {
     std::cout << "FAIL: nobody was enrolled\n";
     ok = false;
   }

@@ -2,7 +2,7 @@
 // the FaultInjector at increasing severity for every fault family, runs the
 // full streaming runtime (segmentation -> preprocessing -> classification
 // with the abstention gate armed), and emits the graceful-degradation
-// evidence to <output_dir>/BENCH_faults.json.
+// evidence to <output_dir>/BENCH_faults.jsonl.
 //
 // Invariants this artifact demonstrates:
 //  * severity 0 of every family is bitwise the clean baseline (the off path
@@ -11,8 +11,8 @@
 //    exceptions — degraded captures become typed rejections or kAbstain
 //    answers, never crashes or silent garbage.
 #include <exception>
-#include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -20,8 +20,9 @@
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
 #include "faults/faults.hpp"
-#include "obs/bench_json.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "pipeline/preprocessor.hpp"
 #include "system/gestureprint.hpp"
 
@@ -29,21 +30,38 @@ namespace {
 
 using namespace gp;
 
-struct StreamOutcome {
-  obs::FaultSweepRow row;
+/// One (fault family, severity) cell of the robustness sweep.
+struct FaultSweepRow {
+  double severity = 0.0;
+  std::uint64_t frames_in = 0;         ///< frames entering the injector
+  std::uint64_t frames_delivered = 0;  ///< frames surviving injection
+  std::uint64_t frames_dropped = 0;
+  std::uint64_t ghost_points = 0;
+  std::uint64_t points_removed = 0;
+  std::uint64_t segments = 0;    ///< segments the streaming segmenter detected
+  std::uint64_t classified = 0;  ///< clouds that got a (gesture,user) answer
+  std::uint64_t abstained = 0;   ///< clouds the system refused (kAbstain)
+  std::uint64_t correct = 0;     ///< classified AND gesture matched truth
+  std::uint64_t uncaught_exceptions = 0;  ///< must be 0: degradation, not death
+};
+
+/// One fault family's severity series.
+struct FaultFamilySeries {
+  std::string kind;  ///< fault_kind_name() string, or "mixed"
+  std::vector<FaultSweepRow> rows;
 };
 
 /// Streams `recording` through an injector configured by `config` and the
 /// freshly-loaded system at `model_path`. Per-frame and per-segment work is
 /// fenced so a fault can only ever produce a counted exception, never kill
 /// the sweep.
-obs::FaultSweepRow run_cell(const ContinuousRecording& recording,
+FaultSweepRow run_cell(const ContinuousRecording& recording,
                             const std::vector<int>& script,
                             const GesturePrintConfig& system_config,
                             const std::string& model_path,
                             const faults::FaultConfig& fault_config,
                             double severity, bool& counters_ok) {
-  obs::FaultSweepRow row;
+  FaultSweepRow row;
   row.severity = severity;
   row.frames_in = recording.frames.size();
 
@@ -152,17 +170,17 @@ int main() {
             << script.size() << " gestures) per cell...\n\n";
 
   const std::vector<double> severities{0.0, 0.25, 0.5, 1.0};
-  std::vector<obs::FaultFamilySeries> families;
+  std::vector<FaultFamilySeries> families;
   bool counters_ok = true;
 
   auto sweep = [&](const std::string& kind_name,
                    auto&& make_config) {
-    obs::FaultFamilySeries series;
+    FaultFamilySeries series;
     series.kind = kind_name;
     for (double severity : severities) {
       series.rows.push_back(run_cell(recording, script, config, model_path,
                                      make_config(severity), severity, counters_ok));
-      const obs::FaultSweepRow& r = series.rows.back();
+      const FaultSweepRow& r = series.rows.back();
       std::cout << "  " << kind_name << " s=" << severity << ": " << r.frames_delivered
                 << "/" << r.frames_in << " frames, " << r.segments << " segments, "
                 << r.classified << " classified, " << r.abstained << " abstained, "
@@ -178,10 +196,34 @@ int main() {
   }
   sweep("mixed", [&](double s) { return faults::FaultConfig::mixed(s); });
 
-  const std::string json =
-      obs::fault_sweep_json(config.abstain_margin, severities, families);
-  const std::string path = output_dir() + "/BENCH_faults.json";
-  std::ofstream(path) << json;
+  // accuracy = correct/classified (0 when nothing was classified).
+  std::vector<obs::BenchRecord> records;
+  for (const FaultFamilySeries& family : families) {
+    for (const FaultSweepRow& r : family.rows) {
+      const std::string case_name = "kind=" + family.kind +
+                                    " severity=" + obs::json::number(r.severity) +
+                                    " abstain_margin=" + obs::json::number(config.abstain_margin);
+      const auto count = [&](const char* metric, std::uint64_t v) {
+        records.push_back({case_name, metric, "count", static_cast<double>(v)});
+      };
+      count("frames_in", r.frames_in);
+      count("frames_delivered", r.frames_delivered);
+      count("frames_dropped", r.frames_dropped);
+      count("ghost_points", r.ghost_points);
+      count("points_removed", r.points_removed);
+      count("segments", r.segments);
+      count("classified", r.classified);
+      count("abstained", r.abstained);
+      count("correct", r.correct);
+      count("uncaught_exceptions", r.uncaught_exceptions);
+      records.push_back({case_name, "accuracy", "fraction",
+                         r.classified == 0 ? 0.0
+                                           : static_cast<double>(r.correct) /
+                                                 static_cast<double>(r.classified)});
+    }
+  }
+  const std::string path = output_dir() + "/BENCH_faults.jsonl";
+  obs::write_bench_records(path, "faults", records);
   std::cout << "\nWrote " << path << "\n";
 
   // Self-check the degradation invariants (plus the per-cell counter

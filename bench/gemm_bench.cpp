@@ -7,15 +7,13 @@
 // row re-runs the bitwise differential check inline, so a speedup number
 // can never be reported for a kernel that drifted.
 //
-// Emits <output_dir>/BENCH_gemm.json (schema pinned by the
-// `bench_gemm_schema` golden) and self-checks on the exit code:
+// Emits <output_dir>/BENCH_gemm.jsonl and self-checks on the exit code:
 //  1. every differential check passes;
 //  2. the blocked kernels are not slower than the naive references overall
 //     (geometric-mean speedup >= 1.0 across the swept shapes).
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -29,7 +27,7 @@
 #include "nn/gemm_ref.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
-#include "obs/bench_json.hpp"
+#include "obs/report.hpp"
 
 namespace {
 
@@ -63,6 +61,16 @@ bool bitwise_equal(const nn::Tensor& a, const nn::Tensor& b) {
          std::memcmp(a.vec().data(), b.vec().data(), a.vec().size() * sizeof(float)) == 0;
 }
 
+/// Appends one shape's records: reference and optimised time, their ratio
+/// and the optimised kernel's GFLOP/s.
+void add_records(std::vector<obs::BenchRecord>& records, const std::string& case_name,
+                 double ref_ms, double opt_ms, double speedup, double gflops) {
+  records.push_back({case_name, "ref", "ms", ref_ms});
+  records.push_back({case_name, "opt", "ms", opt_ms});
+  records.push_back({case_name, "speedup", "x", speedup});
+  records.push_back({case_name, "gflops", "GFLOP/s", gflops});
+}
+
 }  // namespace
 
 int main() {
@@ -71,8 +79,11 @@ int main() {
 
   exec::ExecContext ctx;  // honors GP_THREADS like the real stack
   Rng rng(0xBE5C, 1);
-  std::vector<obs::GemmBenchRow> rows;
+  std::vector<obs::BenchRecord> records;
+  const std::string threads = " threads=" + std::to_string(ctx.threads());
   bool checks_ok = true;
+  double log_sum = 0.0;  // geomean of blocked-vs-naive speedups
+  std::size_t counted = 0;
 
   // Layer shapes from the GesIDNet MLP stacks and heads plus two larger
   // panels that exercise the k-tiling; batch dimension = micro-batch sizes.
@@ -113,20 +124,22 @@ int main() {
                   << " diverged from the naive reference\n";
         checks_ok = false;
       }
-      obs::GemmBenchRow row;
-      row.kernel = v.name;
-      row.m = s.m;
-      row.k = s.k;
-      row.n = s.n;
-      row.ref_ms = time_ms([&] { v.ref(ref_out); }, reps);
-      row.opt_ms = time_ms([&] { v.opt(opt_out); }, reps);
-      row.speedup = row.opt_ms > 0.0 ? row.ref_ms / row.opt_ms : 0.0;
-      row.gflops = row.opt_ms > 0.0 ? flops / (row.opt_ms * 1.0e6) : 0.0;
-      row.check = "bitwise";
-      rows.push_back(row);
-      std::cout << "  " << row.kernel << " " << s.m << "x" << s.k << "x" << s.n << ": ref "
-                << row.ref_ms << " ms, opt " << row.opt_ms << " ms (" << row.speedup
-                << "x, " << row.gflops << " GFLOP/s, " << row.check << ")\n";
+      const double ref_ms = time_ms([&] { v.ref(ref_out); }, reps);
+      const double opt_ms = time_ms([&] { v.opt(opt_out); }, reps);
+      const double speedup = opt_ms > 0.0 ? ref_ms / opt_ms : 0.0;
+      const double gflops = opt_ms > 0.0 ? flops / (opt_ms * 1.0e6) : 0.0;
+      if (speedup > 0.0) {
+        log_sum += std::log(speedup);
+        ++counted;
+      }
+      add_records(records,
+                  std::string("kernel=") + v.name + " m=" + std::to_string(s.m) +
+                      " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
+                      " check=bitwise" + threads,
+                  ref_ms, opt_ms, speedup, gflops);
+      std::cout << "  " << v.name << " " << s.m << "x" << s.k << "x" << s.n << ": ref "
+                << ref_ms << " ms, opt " << opt_ms << " ms (" << speedup << "x, " << gflops
+                << " GFLOP/s, bitwise)\n";
     }
   }
 
@@ -143,36 +156,23 @@ int main() {
     nn::FusedLinear i8(lin, nullptr, true, nn::QuantMode::kInt8);
     nn::Tensor y32, y8;
     const int reps = 200;
-    obs::GemmBenchRow row;
-    row.kernel = "fused_int8";
-    row.m = batch;
-    row.k = in;
-    row.n = out;
-    row.ref_ms = time_ms([&] { y32 = f32.forward(x, false); }, reps);
-    row.opt_ms = time_ms([&] { y8 = i8.forward(x, false); }, reps);
-    row.speedup = row.opt_ms > 0.0 ? row.ref_ms / row.opt_ms : 0.0;
-    row.gflops = row.opt_ms > 0.0
-                     ? 2.0 * static_cast<double>(batch * in * out) / (row.opt_ms * 1.0e6)
-                     : 0.0;
-    row.check = "band";
-    rows.push_back(row);
-    std::cout << "  fused_int8 " << batch << "x" << in << "x" << out << ": f32 "
-              << row.ref_ms << " ms, int8 " << row.opt_ms << " ms (" << row.speedup
-              << "x)\n";
+    const double ref_ms = time_ms([&] { y32 = f32.forward(x, false); }, reps);
+    const double opt_ms = time_ms([&] { y8 = i8.forward(x, false); }, reps);
+    const double speedup = opt_ms > 0.0 ? ref_ms / opt_ms : 0.0;
+    const double gflops =
+        opt_ms > 0.0 ? 2.0 * static_cast<double>(batch * in * out) / (opt_ms * 1.0e6) : 0.0;
+    add_records(records,
+                "kernel=fused_int8 m=" + std::to_string(batch) + " k=" + std::to_string(in) +
+                    " n=" + std::to_string(out) + " check=band" + threads,
+                ref_ms, opt_ms, speedup, gflops);
+    std::cout << "  fused_int8 " << batch << "x" << in << "x" << out << ": f32 " << ref_ms
+              << " ms, int8 " << opt_ms << " ms (" << speedup << "x)\n";
   }
 
-  const std::string json = obs::gemm_bench_json(ctx.threads(), rows);
-  const std::string path = output_dir() + "/BENCH_gemm.json";
-  std::ofstream(path) << json;
+  const std::string path = output_dir() + "/BENCH_gemm.jsonl";
+  obs::write_bench_records(path, "gemm", records);
   std::cout << "\nWrote " << path << "\n";
 
-  double log_sum = 0.0;
-  std::size_t counted = 0;
-  for (const obs::GemmBenchRow& r : rows) {
-    if (r.kernel == "fused_int8" || r.speedup <= 0.0) continue;
-    log_sum += std::log(r.speedup);
-    ++counted;
-  }
   const double geomean = counted > 0 ? std::exp(log_sum / static_cast<double>(counted)) : 0.0;
   std::cout << "Geomean blocked-vs-naive speedup: " << geomean << "x\n";
   bool ok = checks_ok;

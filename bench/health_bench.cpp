@@ -1,7 +1,7 @@
 // gp::health overhead sweep (DESIGN.md §10): the same 8-session serve load
 // runs with health monitoring fully off and fully on (tracing + SLO window
 // + flight recorder), measuring the per-tick latency of the serve loop in
-// both modes. Emits <output_dir>/BENCH_health.json and self-checks the two
+// both modes. Emits <output_dir>/BENCH_health.jsonl and self-checks the two
 // headline invariants on the exit code:
 //   1. every ServeResult is bitwise identical between the two modes —
 //      health observes the serve stack, it never feeds results;
@@ -12,7 +12,6 @@
 //      regression inflates every pair and cannot hide in the minimum.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,7 +21,7 @@
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
 #include "health/slo.hpp"
-#include "obs/bench_json.hpp"
+#include "obs/report.hpp"
 #include "serve/server.hpp"
 #include "system/gestureprint.hpp"
 
@@ -41,6 +40,17 @@ constexpr std::size_t kFramesPerTick = 4;
 struct RunOutcome {
   std::vector<double> tick_us;  ///< one entry per frame round (push + pump)
   std::vector<serve::ServeResult> results;
+};
+
+/// One mode of the overhead sweep ("off" | "on"): serve-tick latency
+/// quantiles over the measured pump loop, best-of-reps.
+struct ModeRow {
+  std::string mode;
+  std::uint64_t ticks = 0;
+  std::uint64_t results = 0;  ///< ServeResults answered across the run
+  double p50_us = 0.0;
+  double p95_us = 0.0;
+  double p99_us = 0.0;
 };
 
 double quantile(std::vector<double> sorted, double q) {
@@ -143,8 +153,7 @@ int main() {
   config_on.health.flightrec = true;
   config_on.health.slo = health::SloSpec::parse("p99_ms<1000,shed_rate<0.5,window=64t");
 
-  std::size_t ticks_per_rep = 0;
-  std::vector<obs::HealthBenchRow> rows(2);
+  std::vector<ModeRow> rows(2);
   rows[0].mode = "off";
   rows[1].mode = "on";
   for (auto& row : rows) row.p50_us = -1.0;
@@ -163,9 +172,8 @@ int main() {
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     double rep_p50[2] = {0.0, 0.0};
     for (std::size_t m = 0; m < 2; ++m) {
-      obs::HealthBenchRow& row = rows[m];
+      ModeRow& row = rows[m];
       RunOutcome outcome = run_once(recordings, *modes[m].second, registry);
-      ticks_per_rep = outcome.tick_us.size();
       std::vector<double> sorted = outcome.tick_us;
       std::sort(sorted.begin(), sorted.end());
       const double p50 = quantile(sorted, 0.5);
@@ -211,11 +219,28 @@ int main() {
     snap = server.health_snapshot();
   }
 
-  const std::string json = obs::health_bench_json(
-      kReps, ticks_per_rep, rows, overhead_pct, bitwise,
-      health::verdict_name(snap.verdict), snap.verdict_flips, snap.flightrec_events);
-  const std::string path = output_dir() + "/BENCH_health.json";
-  std::ofstream(path) << json;
+  const std::string setup =
+      " sessions=" + std::to_string(kSessions) + " reps=" + std::to_string(kReps);
+  std::vector<obs::BenchRecord> records;
+  for (const ModeRow& row : rows) {
+    const std::string case_name = "health=" + row.mode + setup;
+    records.push_back({case_name, "ticks", "count", static_cast<double>(row.ticks)});
+    records.push_back({case_name, "results", "count", static_cast<double>(row.results)});
+    records.push_back({case_name, "tick_p50", "us", row.p50_us});
+    records.push_back({case_name, "tick_p95", "us", row.p95_us});
+    records.push_back({case_name, "tick_p99", "us", row.p99_us});
+  }
+  const std::string compare_case = "compare=on_vs_off" + setup;
+  records.push_back({compare_case, "overhead_p50", "pct", overhead_pct});
+  records.push_back({compare_case, "bitwise_identical", "bool", bitwise ? 1.0 : 0.0});
+  const std::string verdict_case = "health=on verdict=" +
+                                   std::string(health::verdict_name(snap.verdict)) + setup;
+  records.push_back({verdict_case, "verdict_flips", "count",
+                     static_cast<double>(snap.verdict_flips)});
+  records.push_back({verdict_case, "flightrec_events", "count",
+                     static_cast<double>(snap.flightrec_events)});
+  const std::string path = output_dir() + "/BENCH_health.jsonl";
+  obs::write_bench_records(path, "health", records);
   std::cout << "\nWrote " << path << "\n";
 
   bool ok = true;

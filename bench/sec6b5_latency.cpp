@@ -12,19 +12,19 @@
 // The binary also runs a parallel-scaling sweep over GP thread counts
 // {1, 2, 4, hardware} for three representative stages (matmul kernel, one
 // training epoch, dataset synthesis) and writes the measured speedups to
-// <output_dir>/BENCH_parallel.json.
+// <output_dir>/BENCH_parallel.jsonl.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/math_utils.hpp"
 #include "common/mem.hpp"
 #include "datasets/cache.hpp"
 #include "datasets/prep.hpp"
@@ -32,7 +32,6 @@
 #include "gesidnet/gesidnet.hpp"
 #include "gesidnet/trainer.hpp"
 #include "nn/tensor.hpp"
-#include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -111,8 +110,9 @@ BENCHMARK(BM_EndToEndSingleGesture)->Unit(benchmark::kMillisecond);
 /// (google-benchmark's default counters only expose the mean). The GP_SPAN
 /// instrumentation inside the stack fills in the per-stage breakdown
 /// (pipeline.segment, gesidnet.predict, ...) over the same iterations,
-/// which lands in BENCH_latency_stages.json next to the top-level numbers.
-void run_latency_quantiles(const std::vector<obs::ServeTickProfile>& serve_tick) {
+/// which lands in BENCH_latency_stages.jsonl next to the top-level numbers
+/// and the serve-tick records.
+void run_latency_quantiles(const std::vector<obs::BenchRecord>& serve_tick) {
   using clock = std::chrono::steady_clock;
   LatencyFixture& f = LatencyFixture::instance();
   const Preprocessor preprocessor;
@@ -149,32 +149,35 @@ void run_latency_quantiles(const std::vector<obs::ServeTickProfile>& serve_tick)
   row("classification", infer_ms.snapshot());
   row("end-to-end    ", total_ms.snapshot());
 
-  // BENCH_latency_stages.json: top-level quantiles + GP_SPAN breakdown,
-  // emitted through the canonical builder whose schema the golden tests pin.
-  const std::string doc = obs::latency_stages_json(
-      kIters,
-      {{"preprocessing", pre_ms.snapshot()},
-       {"classification_inference", infer_ms.snapshot()},
-       {"end_to_end", total_ms.snapshot()}},
-      obs::stage_snapshots(), serve_tick);
+  // Top-level quantiles, then the GP_SPAN breakdown of every stage that
+  // fired, then the serve-tick profile.
+  std::vector<obs::BenchRecord> records;
+  const std::string iterations = " iterations=" + std::to_string(kIters);
+  const auto add_hist = [&](const std::string& case_name, const obs::HistogramSnapshot& h) {
+    records.push_back({case_name, "count", "count", static_cast<double>(h.count)});
+    records.push_back({case_name, "mean", "ms", h.mean()});
+    records.push_back({case_name, "p50", "ms", h.quantile(0.5)});
+    records.push_back({case_name, "p95", "ms", h.quantile(0.95)});
+    records.push_back({case_name, "p99", "ms", h.quantile(0.99)});
+  };
+  add_hist("series=preprocessing" + iterations, pre_ms.snapshot());
+  add_hist("series=classification_inference" + iterations, infer_ms.snapshot());
+  add_hist("series=end_to_end" + iterations, total_ms.snapshot());
+  for (const obs::StageSnapshot& stage : obs::stage_snapshots()) {
+    if (stage.histogram.count == 0) continue;
+    const std::string case_name =
+        "stage=" + stage.name + " min_depth=" + std::to_string(stage.min_depth) + iterations;
+    add_hist(case_name, stage.histogram);
+    records.push_back({case_name, "total", "ms", stage.histogram.sum});
+  }
+  records.insert(records.end(), serve_tick.begin(), serve_tick.end());
 
-  const std::string path = output_dir() + "/BENCH_latency_stages.json";
-  std::ofstream out(path);
-  out << doc;
+  const std::string path = output_dir() + "/BENCH_latency_stages.jsonl";
+  obs::write_bench_records(path, "latency_stages", records);
   std::cout << "wrote " << path << "\n";
 }
 
 // ------------------------------------------------------ serve tick profile
-
-/// Exact interpolated quantile over a sorted sample vector.
-double sorted_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
 
 /// Streams the fixture recording into a serve::Server from kSessions
 /// concurrent sessions, timing each engine tick (one frame per session +
@@ -183,7 +186,7 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
 /// growing) and "steady" (everything warm — this is the gp::mem
 /// before/after evidence for DESIGN.md §9). The zero-alloc *assertion*
 /// lives in tests/test_mem.cpp; here we record the measured rates.
-std::vector<obs::ServeTickProfile> run_serve_tick_profile() {
+std::vector<obs::BenchRecord> run_serve_tick_profile() {
   LatencyFixture& f = LatencyFixture::instance();
 
   GesturePrintConfig config = bench::default_system_config();
@@ -203,9 +206,10 @@ std::vector<obs::ServeTickProfile> run_serve_tick_profile() {
   serve::Server server(serve_config, registry);
 
   constexpr std::uint64_t kSessions = 4;
-  const auto pass = [&](const char* phase) {
-    obs::ServeTickProfile profile;
-    profile.phase = phase;
+  std::cout << "\nserve tick profile (" << kSessions << " sessions, "
+            << f.raw_recording.size() << " ticks/pass)\n";
+  std::vector<obs::BenchRecord> records;
+  const auto pass = [&](const std::string& phase) {
     std::vector<double> tick_ms;
     tick_ms.reserve(f.raw_recording.size());
     mem::AllocCounter allocs;
@@ -217,32 +221,29 @@ std::vector<obs::ServeTickProfile> run_serve_tick_profile() {
       benchmark::DoNotOptimize(results);
       tick_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
-    profile.ticks = tick_ms.size();
-    profile.allocs_per_tick =
-        profile.ticks > 0
-            ? static_cast<double>(allocs.allocations()) / static_cast<double>(profile.ticks)
-            : 0.0;
-    std::sort(tick_ms.begin(), tick_ms.end());
-    profile.p50_ms = sorted_quantile(tick_ms, 0.5);
-    profile.p95_ms = sorted_quantile(tick_ms, 0.95);
-    profile.p99_ms = sorted_quantile(tick_ms, 0.99);
-    return profile;
+    const double ticks = static_cast<double>(tick_ms.size());
+    const double allocs_per_tick =
+        ticks > 0 ? static_cast<double>(allocs.allocations()) / ticks : 0.0;
+    const double p50 = gp::quantile(tick_ms, 0.5);
+    const double p95 = gp::quantile(tick_ms, 0.95);
+    const double p99 = gp::quantile(tick_ms, 0.99);
+    std::cout << "  " << phase << ": p50 " << bench::cell(p50) << "ms  p95 "
+              << bench::cell(p95) << "ms  p99 " << bench::cell(p99) << "ms  "
+              << bench::cell(allocs_per_tick) << " allocs/tick\n";
+    const std::string case_name =
+        "phase=" + phase + " sessions=" + std::to_string(kSessions);
+    records.push_back({case_name, "ticks", "count", ticks});
+    records.push_back({case_name, "p50", "ms", p50});
+    records.push_back({case_name, "p95", "ms", p95});
+    records.push_back({case_name, "p99", "ms", p99});
+    records.push_back({case_name, "allocs_per_tick", "count", allocs_per_tick});
   };
 
   // The second pass keeps the same server: sessions, pools, and shard
   // arenas enter it warm, so the delta isolates the allocator tax.
-  std::vector<obs::ServeTickProfile> profiles;
-  profiles.push_back(pass("cold"));
-  profiles.push_back(pass("steady"));
-
-  std::cout << "\nserve tick profile (" << kSessions << " sessions, "
-            << f.raw_recording.size() << " ticks/pass)\n";
-  for (const obs::ServeTickProfile& p : profiles) {
-    std::cout << "  " << p.phase << ": p50 " << bench::cell(p.p50_ms) << "ms  p95 "
-              << bench::cell(p.p95_ms) << "ms  p99 " << bench::cell(p.p99_ms) << "ms  "
-              << bench::cell(p.allocs_per_tick) << " allocs/tick\n";
-  }
-  return profiles;
+  pass("cold");
+  pass("steady");
+  return records;
 }
 
 // ------------------------------------------------------ parallel scaling sweep
@@ -260,10 +261,14 @@ double time_stage_ms(gp::exec::ExecContext& ctx, const Fn& stage, int reps = 3) 
   return best;
 }
 
-using SweepStage = obs::SweepStageSeries;
+/// One stage's best-of wall times, aligned with the swept thread counts.
+struct SweepStage {
+  std::string name;
+  std::vector<double> ms;
+};
 
 /// Sweeps GP thread counts over three representative stages and writes
-/// BENCH_parallel.json. Every stage produces bitwise-identical results at
+/// BENCH_parallel.jsonl. Every stage produces bitwise-identical results at
 /// each thread count (the gp::exec contract), so only time varies.
 void run_parallel_sweep() {
   using namespace gp;
@@ -327,19 +332,23 @@ void run_parallel_sweep() {
   }
 
   std::cout << "\nparallel scaling (best-of wall time, ms; speedup vs 1 thread)\n";
+  std::vector<obs::BenchRecord> records;
   for (const SweepStage& stage : stages) {
     std::cout << "  " << stage.name << ":";
     for (std::size_t i = 0; i < threads.size(); ++i) {
       const double speedup = stage.ms[0] / stage.ms[i];
       std::cout << "  " << threads[i] << "t " << bench::cell(stage.ms[i]) << "ms (x"
                 << bench::cell(speedup) << ")";
+      const std::string case_name =
+          "stage=" + stage.name + " threads=" + std::to_string(threads[i]);
+      records.push_back({case_name, "wall", "ms", stage.ms[i]});
+      records.push_back({case_name, "speedup", "x", speedup});
     }
     std::cout << "\n";
   }
 
-  const std::string path = output_dir() + "/BENCH_parallel.json";
-  std::ofstream out(path);
-  out << obs::parallel_sweep_json(hw, threads, stages);
+  const std::string path = output_dir() + "/BENCH_parallel.jsonl";
+  obs::write_bench_records(path, "parallel", records);
   std::cout << "wrote " << path << "\n";
 }
 
@@ -354,7 +363,7 @@ int main(int argc, char** argv) {
   LatencyFixture::instance();  // train outside the measured region
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  const std::vector<obs::ServeTickProfile> serve_tick = run_serve_tick_profile();
+  const std::vector<obs::BenchRecord> serve_tick = run_serve_tick_profile();
   run_latency_quantiles(serve_tick);
   run_parallel_sweep();
   obs::write_run_report("sec6b5_latency");

@@ -13,13 +13,12 @@
 // diluted by segmentation/featurization, which the `quant` summary records
 // honestly).
 //
-// Emits <output_dir>/BENCH_serve.json and self-checks the headline
+// Emits <output_dir>/BENCH_serve.jsonl and self-checks the headline
 // acceptance invariants on the exit code: at >= 8 concurrent sessions the
 // best f32 serve cell must be >= 2x the sequential baseline, and the best
 // int8 cell >= 3x (the ROADMAP-item-1 single-core throughput target).
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,8 +28,8 @@
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
 #include "gesidnet/trainer.hpp"
-#include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "pipeline/preprocessor.hpp"
 #include "serve/server.hpp"
 #include "system/gestureprint.hpp"
@@ -44,14 +43,31 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
+/// Sequential per-segment baseline at one concurrency level.
+struct BaselineRow {
+  std::uint64_t segments = 0;
+  double ms = 0.0;
+};
+
+/// One (sessions, batch_max, quant mode) cell of the serving sweep.
+struct ServeCell {
+  std::size_t sessions = 0;
+  std::size_t batch_max = 0;
+  std::string quant = "off";   ///< quant_mode_name() of the published model
+  std::uint64_t segments = 0;  ///< completed segments entering the batcher
+  std::uint64_t results = 0;   ///< ServeResults emitted
+  std::uint64_t batches = 0;   ///< micro-batches flushed
+  std::uint64_t abstained = 0;
+  double ms = 0.0;             ///< serve wall time (stream in → drained)
+  double speedup = 0.0;        ///< baseline(sessions).ms / ms
+};
+
 /// Sequential per-segment baseline: segment + preprocess each recording
 /// (same pipeline work serve does), then classify() every segment one at a
 /// time on the unfused system. Returns (segments, ms).
-obs::ServeBaselineRow run_baseline(const std::vector<ContinuousRecording>& recordings,
-                                   const GesturePrintConfig& config,
-                                   const std::string& model_path) {
-  obs::ServeBaselineRow row;
-  row.sessions = recordings.size();
+BaselineRow run_baseline(const std::vector<ContinuousRecording>& recordings,
+                         const GesturePrintConfig& config, const std::string& model_path) {
+  BaselineRow row;
   GesturePrintSystem system(config);
   system.load(model_path);  // unfused: the offline classify() path
 
@@ -80,10 +96,10 @@ obs::ServeBaselineRow run_baseline(const std::vector<ContinuousRecording>& recor
 /// MetricsDelta baseline isolates this cell's gp.serve.* counter movement
 /// from every previous cell's, so the cross-check against MicroBatcher
 /// stats stays exact across the whole sweep.
-obs::ServeSweepCell run_serve_cell(const std::vector<ContinuousRecording>& recordings,
-                                   const serve::ServeConfig& serve_config,
-                                   serve::ModelRegistry& registry, bool& counters_ok) {
-  obs::ServeSweepCell cell;
+ServeCell run_serve_cell(const std::vector<ContinuousRecording>& recordings,
+                         const serve::ServeConfig& serve_config, serve::ModelRegistry& registry,
+                         bool& counters_ok) {
+  ServeCell cell;
   cell.sessions = recordings.size();
   cell.batch_max = serve_config.batch_max;
   cell.quant = nn::quant_mode_name(serve_config.quant);
@@ -139,13 +155,17 @@ obs::ServeSweepCell run_serve_cell(const std::vector<ContinuousRecording>& recor
   return cell;
 }
 
-/// Forward-isolated f32-vs-int8 head-to-head: the same featurized segments
-/// through both fused gesture models, plus argmax agreement across both
-/// classification heads' logits.
-obs::ServeQuantSummary run_quant_head_to_head(const Dataset& dataset,
-                                              const GesturePrintConfig& config,
-                                              const std::string& model_path) {
-  obs::ServeQuantSummary summary;
+/// Forward-isolated f32-vs-int8 head-to-head (DESIGN.md §11): the same
+/// featurized segments through both fused gesture models, plus argmax
+/// agreement across both classification heads' logits. forward_speedup
+/// isolates the fused GesIDNet forward pass (the part the int8 kernel
+/// accelerates); `serve_speedup` is the end-to-end serve wall-time ratio,
+/// diluted by featurization/segmentation that quantization cannot touch.
+/// Prints the summary and appends its records under `case_name`.
+void run_quant_head_to_head(const Dataset& dataset, const GesturePrintConfig& config,
+                            const std::string& model_path, double serve_speedup,
+                            const std::string& case_name,
+                            std::vector<obs::BenchRecord>& records) {
   GesturePrintSystem f32(config), i8(config);
   f32.load(model_path);
   i8.load(model_path);
@@ -167,24 +187,30 @@ obs::ServeQuantSummary run_quant_head_to_head(const Dataset& dataset,
     return ms_since(start) / static_cast<double>(reps);
   };
   const int reps = 20;
-  summary.measured = true;
-  summary.f32_forward_ms = time_forward(f32.gesture_model(), reps);
-  summary.int8_forward_ms = time_forward(i8.gesture_model(), reps);
-  summary.forward_speedup = summary.int8_forward_ms > 0.0
-                                ? summary.f32_forward_ms / summary.int8_forward_ms
-                                : 0.0;
+  const double f32_forward_ms = time_forward(f32.gesture_model(), reps);
+  const double int8_forward_ms = time_forward(i8.gesture_model(), reps);
+  const double forward_speedup = int8_forward_ms > 0.0 ? f32_forward_ms / int8_forward_ms : 0.0;
 
   const nn::Tensor l32 = predict_logits(f32.gesture_model(), batch);
   const nn::Tensor l8 = predict_logits(i8.gesture_model(), batch);
+  std::uint64_t argmax_mismatches = 0;  // (gesture,user) disagreements
   for (std::size_t i = 0; i < l32.rows(); ++i) {
     std::size_t a32 = 0, a8 = 0;
     for (std::size_t c = 1; c < l32.cols(); ++c) {
       if (l32.at(i, c) > l32.at(i, a32)) a32 = c;
       if (l8.at(i, c) > l8.at(i, a8)) a8 = c;
     }
-    if (a32 != a8) ++summary.argmax_mismatches;
+    if (a32 != a8) ++argmax_mismatches;
   }
-  return summary;
+  std::cout << "  quant head-to-head: f32 forward " << f32_forward_ms << " ms, int8 "
+            << int8_forward_ms << " ms (forward " << forward_speedup << "x, serve "
+            << serve_speedup << "x, argmax mismatches " << argmax_mismatches << "/32)\n";
+  records.push_back({case_name, "f32_forward", "ms", f32_forward_ms});
+  records.push_back({case_name, "int8_forward", "ms", int8_forward_ms});
+  records.push_back({case_name, "forward_speedup", "x", forward_speedup});
+  records.push_back({case_name, "serve_speedup", "x", serve_speedup});
+  records.push_back(
+      {case_name, "argmax_mismatches", "count", static_cast<double>(argmax_mismatches)});
 }
 
 }  // namespace
@@ -237,16 +263,18 @@ int main() {
         generate_recording(spec, s % spec.num_users, script, 20260806 + s));
   }
 
-  std::vector<obs::ServeBaselineRow> baseline;
-  std::vector<obs::ServeSweepCell> cells;
+  std::vector<obs::BenchRecord> records;
+  std::vector<ServeCell> cells;
   bool counters_ok = true;
   for (std::size_t n : sessions_swept) {
     const std::vector<ContinuousRecording> recordings(all_recordings.begin(),
                                                       all_recordings.begin() + n);
-    baseline.push_back(run_baseline(recordings, config, model_path));
-    const obs::ServeBaselineRow& b = baseline.back();
+    const BaselineRow b = run_baseline(recordings, config, model_path);
     std::cout << "  sessions=" << n << " sequential: " << b.segments << " segments in "
               << b.ms << " ms\n";
+    const std::string baseline_case = "path=sequential sessions=" + std::to_string(n);
+    records.push_back({baseline_case, "segments", "count", static_cast<double>(b.segments)});
+    records.push_back({baseline_case, "wall", "ms", b.ms});
     for (std::size_t bm : batch_max_swept) {
       for (const nn::QuantMode mode : {nn::QuantMode::kOff, nn::QuantMode::kInt8}) {
         serve::ServeConfig serve_config;
@@ -257,7 +285,7 @@ int main() {
         serve::ModelRegistry& registry =
             mode == nn::QuantMode::kInt8 ? registry_i8 : registry_f32;
         cells.push_back(run_serve_cell(recordings, serve_config, registry, counters_ok));
-        obs::ServeSweepCell& cell = cells.back();
+        ServeCell& cell = cells.back();
         cell.speedup = cell.ms > 0.0 ? b.ms / cell.ms : 0.0;
         std::cout << "  sessions=" << n << " batch_max=" << bm << " quant=" << cell.quant
                   << " serve: " << cell.segments << " segments, " << cell.batches
@@ -266,27 +294,34 @@ int main() {
     }
   }
 
-  obs::ServeQuantSummary quant = run_quant_head_to_head(dataset, config, model_path);
+  for (const ServeCell& cell : cells) {
+    const std::string case_name = "path=serve sessions=" + std::to_string(cell.sessions) +
+                                  " batch_max=" + std::to_string(cell.batch_max) +
+                                  " quant=" + cell.quant;
+    records.push_back({case_name, "segments", "count", static_cast<double>(cell.segments)});
+    records.push_back({case_name, "results", "count", static_cast<double>(cell.results)});
+    records.push_back({case_name, "batches", "count", static_cast<double>(cell.batches)});
+    records.push_back({case_name, "abstained", "count", static_cast<double>(cell.abstained)});
+    records.push_back({case_name, "wall", "ms", cell.ms});
+    records.push_back({case_name, "speedup", "x", cell.speedup});
+  }
   {
     // End-to-end serve ratio at the largest session count: best f32 cell
     // over best int8 cell (Amdahl-honest next to forward_speedup).
     double best_f32 = 0.0, best_i8 = 0.0;
-    for (const obs::ServeSweepCell& cell : cells) {
+    for (const ServeCell& cell : cells) {
       if (cell.sessions != sessions_swept.back()) continue;
       double& best = cell.quant == "int8" ? best_i8 : best_f32;
       if (cell.ms > 0.0) best = best == 0.0 ? cell.ms : std::min(best, cell.ms);
     }
-    quant.serve_speedup = best_i8 > 0.0 ? best_f32 / best_i8 : 0.0;
+    run_quant_head_to_head(dataset, config, model_path,
+                           best_i8 > 0.0 ? best_f32 / best_i8 : 0.0,
+                           "path=head_to_head quant=int8_vs_off batch=32 sessions=" +
+                               std::to_string(sessions_swept.back()),
+                           records);
   }
-  std::cout << "  quant head-to-head: f32 forward " << quant.f32_forward_ms
-            << " ms, int8 " << quant.int8_forward_ms << " ms (forward "
-            << quant.forward_speedup << "x, serve " << quant.serve_speedup
-            << "x, argmax mismatches " << quant.argmax_mismatches << "/32)\n";
-
-  const std::string json =
-      obs::serve_bench_json(sessions_swept, batch_max_swept, baseline, cells, quant);
-  const std::string path = output_dir() + "/BENCH_serve.json";
-  std::ofstream(path) << json;
+  const std::string path = output_dir() + "/BENCH_serve.jsonl";
+  obs::write_bench_records(path, "serve", records);
   std::cout << "\nWrote " << path << "\n";
 
   // Self-check (CI gates on the exit code, no artifact parsing needed):
@@ -299,7 +334,7 @@ int main() {
   bool ok = counters_ok;
   double best_f32_8plus = 0.0;
   double best_i8_8plus = 0.0;
-  for (const obs::ServeSweepCell& cell : cells) {
+  for (const ServeCell& cell : cells) {
     if (cell.results != cell.segments) {
       std::cout << "FAIL: sessions=" << cell.sessions << " batch_max=" << cell.batch_max
                 << " quant=" << cell.quant << " answered " << cell.results << "/"

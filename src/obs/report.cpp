@@ -66,6 +66,15 @@ std::string build_isa() {
   return isa.empty() ? isa : isa.substr(1);
 }
 
+/// The host every number is measured on, as one JSON object: the core
+/// count, the ISA the binary was built for, and GP_THREADS as set.
+std::string host_json() {
+  return "{\"hardware_concurrency\": " +
+         std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+         ", \"isa\": \"" + build_isa() + "\", \"gp_threads\": \"" +
+         json::escape(env_or("GP_THREADS", "")) + "\"}";
+}
+
 }  // namespace
 
 void write_run_report_json(std::ostream& out, const std::string& name) {
@@ -92,10 +101,7 @@ void write_run_report_json(std::ostream& out, const std::string& name) {
       << "\"},\n";
 
   // The host every number in this report was measured on.
-  out << "  \"host\": {"
-      << "\"hardware_concurrency\": " << std::max(1u, std::thread::hardware_concurrency())
-      << ", \"isa\": \"" << build_isa() << "\""
-      << ", \"gp_threads\": \"" << json::escape(env_or("GP_THREADS", "")) << "\"},\n";
+  out << "  \"host\": " << host_json() << ",\n";
 
   out << "  \"config\": {"
       << "\"scale\": \"" << json::escape(run_scale_name()) << "\", "
@@ -141,6 +147,30 @@ std::string write_run_report(const std::string& name) {
 
   if (trace_enabled()) write_trace_file(dir + "/TRACE_" + name + ".json");
   return report_path;
+}
+
+std::string bench_records_jsonl(const std::string& bench, const std::vector<BenchRecord>& records) {
+  const std::string tail =
+      ", \"host\": " + host_json() + ", \"scale\": \"" + json::escape(run_scale_name()) + "\"}\n";
+  std::string out;
+  for (const BenchRecord& r : records) {
+    out += "{\"bench\": \"" + json::escape(bench) + "\", \"case\": \"" +
+           json::escape(r.case_name) + "\", \"metric\": \"" + json::escape(r.metric) +
+           "\", \"unit\": \"" + json::escape(r.unit) + "\", \"value\": " +
+           json::number(r.value) + tail;
+  }
+  return out;
+}
+
+void write_bench_records(const std::string& path, const std::string& bench,
+                         const std::vector<BenchRecord>& records) {
+  std::error_code ec;
+  std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
+  std::ofstream out(path);
+  if (!out) throw Error("cannot open bench records for writing: " + path);
+  out << bench_records_jsonl(bench, records);
+  out.close();
+  if (!out) throw Error("bench records write did not complete: " + path);
 }
 
 }  // namespace gp::obs

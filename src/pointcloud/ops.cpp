@@ -39,13 +39,6 @@ std::vector<std::size_t> ball_query(const PointCloud& cloud, const Vec3& query, 
   return out;
 }
 
-std::vector<std::size_t> farthest_point_sample(const PointCloud& cloud, std::size_t n,
-                                               std::size_t start) {
-  ResampleScratch scratch;
-  farthest_point_sample_into(cloud, n, start, scratch);
-  return std::move(scratch.selected);
-}
-
 void farthest_point_sample_into(const PointCloud& cloud, std::size_t n, std::size_t start,
                                 ResampleScratch& scratch) {
   check_arg(!cloud.empty(), "FPS over empty cloud");
@@ -78,13 +71,6 @@ void farthest_point_sample_into(const PointCloud& cloud, std::size_t n, std::siz
   }
 }
 
-PointCloud resample(const PointCloud& cloud, std::size_t n, Rng& rng) {
-  ResampleScratch scratch;
-  PointCloud out;
-  resample_into(cloud, n, rng, scratch, out);
-  return out;
-}
-
 void resample_into(const PointCloud& cloud, std::size_t n, Rng& rng, ResampleScratch& scratch,
                    PointCloud& out) {
   check_arg(!cloud.empty(), "resample of empty cloud");
@@ -92,8 +78,7 @@ void resample_into(const PointCloud& cloud, std::size_t n, Rng& rng, ResampleScr
   out.clear();
   out.reserve(n);
   if (cloud.size() >= n) {
-    // Same RNG draw order as the allocating path: one index() for the FPS
-    // start point.
+    // One index() draw for the FPS start point.
     farthest_point_sample_into(cloud, n, rng.index(cloud.size()), scratch);
     for (std::size_t i : scratch.selected) out.push_back(cloud[i]);
   } else {

@@ -22,12 +22,6 @@ std::vector<std::size_t> knn(const PointCloud& cloud, const Vec3& query, std::si
 std::vector<std::size_t> ball_query(const PointCloud& cloud, const Vec3& query, double radius,
                                     std::size_t max_count = 0);
 
-/// Farthest point sampling: greedily selects n indices maximising pairwise
-/// coverage, starting from `start`. If the cloud has fewer than n points all
-/// indices are returned (no padding here; callers pad).
-std::vector<std::size_t> farthest_point_sample(const PointCloud& cloud, std::size_t n,
-                                               std::size_t start = 0);
-
 /// Reusable working memory for resample_into (FPS selection + distance
 /// table); one per hot caller keeps resampling allocation-free.
 struct ResampleScratch {
@@ -35,17 +29,16 @@ struct ResampleScratch {
   std::vector<double> min_dist2;
 };
 
-/// Allocation-free farthest point sampling: same indices as
-/// farthest_point_sample, written into `scratch.selected`.
+/// Farthest point sampling: greedily selects n indices maximising pairwise
+/// coverage, starting from `start`, into `scratch.selected`. If the cloud
+/// has fewer than n points all indices are selected (no padding here;
+/// callers pad). Allocation-free once `scratch` has grown.
 void farthest_point_sample_into(const PointCloud& cloud, std::size_t n, std::size_t start,
                                 ResampleScratch& scratch);
 
-/// Resamples a cloud to exactly n points: FPS when shrinking, repetition
-/// with jitter-free duplication when growing. Deterministic given `rng`.
-PointCloud resample(const PointCloud& cloud, std::size_t n, Rng& rng);
-
-/// Allocation-free variant: identical output (same RNG draw order) written
-/// into `out`, reusing its capacity and `scratch`'s tables.
+/// Resamples a cloud to exactly n points into `out`: FPS when shrinking,
+/// repetition with jitter-free duplication when growing. Deterministic
+/// given `rng`; reuses `out`'s capacity and `scratch`'s tables.
 void resample_into(const PointCloud& cloud, std::size_t n, Rng& rng, ResampleScratch& scratch,
                    PointCloud& out);
 

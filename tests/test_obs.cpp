@@ -6,10 +6,13 @@
 
 #include <chrono>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/logging.hpp"
 #include "exec/exec.hpp"
 #include "gesidnet/batch.hpp"
@@ -18,6 +21,7 @@
 #include "nn/tensor.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 
 namespace gp {
@@ -441,6 +445,27 @@ TEST(ObsDeterminism, TracingDoesNotPerturbLogits) {
       EXPECT_EQ(plain.at(i, j), traced.at(i, j)) << "logit (" << i << "," << j << ")";
     }
   }
+}
+
+// ---------------------------------------------------------------- bench records
+
+TEST(ObsBenchRecords, WriteRoundTripsTheJsonlText) {
+  const std::vector<obs::BenchRecord> records{{"kernel=matmul m=1", "opt", "ms", 0.25},
+                                              {"kernel=matmul m=1", "speedup", "x", 2.0}};
+  const std::string path = testing::TempDir() + "gp_bench_records/BENCH_roundtrip.jsonl";
+  obs::write_bench_records(path, "roundtrip", records);
+  std::ifstream in(path);
+  const std::string written((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, obs::bench_records_jsonl("roundtrip", records));
+}
+
+TEST(ObsBenchRecords, UnwritablePathThrows) {
+  // A directory that cannot exist: its parent is a regular file.
+  const std::string file = testing::TempDir() + "gp_bench_records_not_a_dir";
+  std::ofstream(file) << "x";
+  EXPECT_THROW(obs::write_bench_records(file + "/sub/BENCH_x.jsonl", "x",
+                                        {{"case=a", "m", "count", 1.0}}),
+               Error);
 }
 
 }  // namespace

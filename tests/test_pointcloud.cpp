@@ -93,7 +93,9 @@ TEST(Ops, FpsSelectsSpreadOutPoints) {
   const PointCloud far_blob = random_cloud(20, rng, Vec3(10, 0, 0), 0.05);
   cloud.insert(cloud.end(), far_blob.begin(), far_blob.end());
 
-  const auto idx = farthest_point_sample(cloud, 2, 0);
+  ResampleScratch scratch;
+  farthest_point_sample_into(cloud, 2, 0, scratch);
+  const std::vector<std::size_t>& idx = scratch.selected;
   ASSERT_EQ(idx.size(), 2u);
   const double gap = (cloud[idx[0]].position - cloud[idx[1]].position).norm();
   EXPECT_GT(gap, 8.0);
@@ -102,14 +104,20 @@ TEST(Ops, FpsSelectsSpreadOutPoints) {
 TEST(Ops, FpsReturnsAllWhenAskingTooMany) {
   Rng rng(6);
   const PointCloud cloud = random_cloud(5, rng);
-  EXPECT_EQ(farthest_point_sample(cloud, 10).size(), 5u);
+  ResampleScratch scratch;
+  farthest_point_sample_into(cloud, 10, 0, scratch);
+  EXPECT_EQ(scratch.selected.size(), 5u);
 }
 
 TEST(Ops, ResampleHitsExactCount) {
   Rng rng(7);
   const PointCloud cloud = random_cloud(50, rng);
-  EXPECT_EQ(resample(cloud, 16, rng).size(), 16u);
-  EXPECT_EQ(resample(cloud, 128, rng).size(), 128u);  // upsampling duplicates
+  ResampleScratch scratch;
+  PointCloud out;
+  resample_into(cloud, 16, rng, scratch, out);
+  EXPECT_EQ(out.size(), 16u);
+  resample_into(cloud, 128, rng, scratch, out);
+  EXPECT_EQ(out.size(), 128u);  // upsampling duplicates
 }
 
 TEST(Ops, NormalizeCentroidCentresCloud) {
